@@ -150,8 +150,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
-        with profiler.section("plan.search"):
-            plan = planner.plan(model, devices, network)
+        planner.profiler = profiler
+        plan = planner.plan(model, devices, network)
     else:
         with profiler.section("plan.search"):
             plan = BASELINE_REGISTRY[args.method]().plan(model, devices, network)

@@ -1,4 +1,4 @@
-"""Partition cost model: the ``Cp`` score of Eq. 3.
+"""Partition cost model: the ``Cp`` score of Eq. 3, scored as one array program.
 
 LC-PSS scores a candidate partition scheme ``Rp`` by
 
@@ -17,22 +17,69 @@ Both terms are normalised before mixing (operations by the single-device
 backbone MAC count, transmission by the total activation footprint of the
 model) so that ``alpha`` is a dimensionless trade-off knob, as in the paper
 where ``alpha`` ranges over [0, 1] and 0.75 works best.
+
+Array layout
+------------
+:meth:`PartitionCostModel.mean_score` scores all ``S = |Rr_s|`` samples of
+a candidate at once, on int64 ``(S, D)`` grids of samples by devices:
+
+* **Draws.**  The RNG stream of ``Rr_s`` does not depend on volume heights,
+  so the fractions are drawn once per volume count ``V`` as an
+  ``(S, V, D)`` array.  They become cut edges ``[0, *cuts, H]`` of shape
+  ``(S, D + 1)`` once per (volume count, volume index, output height),
+  through the scalar :meth:`SplitDecision.from_fractions`.
+* **Row ranges.**  A volume's output rows are the edges' ``(S, D)`` lows
+  and highs, propagated backwards through its layers with
+  :func:`~repro.nn.splitting.required_input_rows`'s formula.  Empty parts
+  are pinned to ``(0, 0)`` at every layer, because the formula would grow
+  an empty range again.
+* **MACs.**  Per-layer tables hold ``macs_for_rows(r)`` for
+  ``r = 0..out_h``; a layer's MACs are a gather by row count.
+* **Redistribution.**  A boundary moves the ``(S, src, dst)`` overlaps of
+  the previous volume's output rows with this volume's input rows, off the
+  diagonal.  An empty part has a zero-length interval on either side, so
+  clipping the overlaps at zero masks it.
+* **Float order.**  Transmission (scatter, each boundary, then the gather),
+  the score and the sequential mean accumulate in :meth:`sample_cost`'s
+  order, so each mean ``Cp`` is the identical float the per-sample loop
+  gives.
+
+:meth:`PartitionCostModel.sample_cost` — :func:`split_volume` and
+:func:`redistribution_bytes` on one concrete decision per volume — is the
+scalar reference that parity tests hold the array program to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.graph import ModelSpec
+from repro.nn.graph import LayerVolume, ModelSpec, cached_partition
+from repro.nn.layers import LayerSpec
 from repro.nn.splitting import SplitDecision, split_volume
 from repro.runtime.plan import redistribution_bytes
 from repro.utils.cache import LRUCache
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.units import FP16_BYTES
 from repro.utils.validation import check_fraction
+
+
+def _draw_fractions(num_devices: int, rng: np.random.Generator) -> np.ndarray:
+    """Device fractions of one random split decision.
+
+    Uniform fractions with each device dropped (zeroed) with probability
+    0.2; if every device is dropped, one drawn uniformly gets everything.
+    This is the single definition of the ``Rr_s`` stream order: the scalar
+    :func:`random_split_decisions` and the array path both draw through it.
+    """
+    fractions = rng.random(num_devices)
+    drop = rng.random(num_devices) < 0.2
+    fractions = np.where(drop, 0.0, fractions)
+    if fractions.sum() <= 0:
+        fractions[int(rng.integers(num_devices))] = 1.0
+    return fractions
 
 
 def random_split_decisions(
@@ -48,15 +95,26 @@ def random_split_decisions(
     choose.  The same random fractions are reused across candidate partitions
     by seeding the generator once per LC-PSS run.
     """
-    decisions = []
-    for _ in range(count):
-        fractions = rng.random(num_devices)
-        drop = rng.random(num_devices) < 0.2
-        fractions = np.where(drop, 0.0, fractions)
-        if fractions.sum() <= 0:
-            fractions[int(rng.integers(num_devices))] = 1.0
-        decisions.append(SplitDecision.from_fractions(fractions, output_height))
-    return decisions
+    return [
+        SplitDecision.from_fractions(_draw_fractions(num_devices, rng), output_height)
+        for _ in range(count)
+    ]
+
+
+def _input_rows(
+    layer: LayerSpec, start: np.ndarray, end: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.nn.splitting.required_input_rows` over int64 arrays.
+
+    Empty ranges map to ``(0, 0)``; unmasked, the formula would give an
+    empty output range a non-empty input range.
+    """
+    empty = start >= end
+    lo = np.maximum(start * layer.stride - layer.padding, 0)
+    hi = np.minimum((end - 1) * layer.stride - layer.padding + layer.kernel, layer.in_h)
+    lo[empty] = 0
+    hi[empty] = 0
+    return lo, hi
 
 
 @dataclass
@@ -125,7 +183,13 @@ class PartitionCostModel:
         activation_bytes = model.input_bytes + sum(l.output_bytes for l in model.spatial_layers)
         self._bytes_norm = float(max(activation_bytes, 1))
         self._score_cache = LRUCache(cache_size)
-        self._volume_cache: dict = {}
+        # Array-path memos, all pure functions of their keys: (S, V, D)
+        # fractions per volume count, (S, D + 1) cut edges per (volume
+        # count, volume index, output height), MAC tables per layer index.
+        self._fractions: Dict[int, np.ndarray] = {}
+        self._edges: Dict[Tuple[int, int, int], np.ndarray] = {}
+        self._mac_tables: Dict[int, np.ndarray] = {}
+        self._off_diagonal = ~np.eye(self.num_devices, dtype=bool)
 
     # ------------------------------------------------------------------ #
     def _fresh_rng(self) -> np.random.Generator:
@@ -134,14 +198,103 @@ class PartitionCostModel:
         # matching the paper where Rr_s is drawn once.
         return as_rng(self.seed)
 
-    def _volumes_for(self, boundaries: Sequence[int]) -> list:
-        """Partition the model, caching the volume list per boundary tuple."""
-        key = tuple(int(b) for b in boundaries)
-        volumes = self._volume_cache.get(key)
-        if volumes is None:
-            volumes = self.model.partition(list(key))
-            self._volume_cache[key] = volumes
-        return volumes
+    def _cut_edges(self, num_volumes: int, index: int, output_height: int) -> np.ndarray:
+        """``[0, *cuts, H]`` of every sample's decision for one volume, ``(S, D + 1)``.
+
+        Sample ``s`` draws one decision per volume in volume order, so the
+        fractions depend on the volume count but never on the heights.
+        """
+        key = (num_volumes, index, output_height)
+        edges = self._edges.get(key)
+        if edges is None:
+            fractions = self._fractions.get(num_volumes)
+            if fractions is None:
+                rng = self._fresh_rng()
+                fractions = np.array([
+                    [_draw_fractions(self.num_devices, rng) for _ in range(num_volumes)]
+                    for _ in range(self.num_random_splits)
+                ])
+                self._fractions[num_volumes] = fractions
+            edges = np.array(
+                [
+                    [0, *SplitDecision.from_fractions(f, output_height).cuts, output_height]
+                    for f in fractions[:, index]
+                ],
+                dtype=np.int64,
+            )
+            self._edges[key] = edges
+        return edges
+
+    def _mac_table(self, layer_index: int, layer: LayerSpec) -> np.ndarray:
+        """``layer.macs_for_rows(r)`` for ``r = 0..out_h``."""
+        table = self._mac_tables.get(layer_index)
+        if table is None:
+            table = np.array(
+                [layer.macs_for_rows(r) for r in range(layer.out_h + 1)], dtype=np.int64
+            )
+            self._mac_tables[layer_index] = table
+        return table
+
+    def _volume_parts(
+        self, volume: LayerVolume, out_lo: np.ndarray, out_hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-part MACs and input rows of one volume, each ``(S, D)``.
+
+        Walks the layers backwards like
+        :func:`~repro.nn.splitting.per_layer_row_ranges`: each layer's
+        output range yields its MACs, then its input range feeds the layer
+        before.
+        """
+        lo, hi = out_lo, out_hi
+        macs = np.zeros_like(lo)
+        for offset in range(len(volume.layers) - 1, -1, -1):
+            layer = volume.layers[offset]
+            macs += self._mac_table(volume.start + offset, layer)[hi - lo]
+            lo, hi = _input_rows(layer, lo, hi)
+        return macs, lo, hi
+
+    def _redistributed_rows(
+        self,
+        have_lo: np.ndarray,
+        have_hi: np.ndarray,
+        need_lo: np.ndarray,
+        need_hi: np.ndarray,
+    ) -> np.ndarray:
+        """Rows moved across one volume boundary, per sample ``(S,)``.
+
+        Overlaps are ``(S, src, dst)``: the rows ``src`` produced that
+        ``dst`` needs.  Rows a device already holds (the diagonal) stay put.
+        """
+        overlap = np.minimum(have_hi[:, :, None], need_hi[:, None, :]) - np.maximum(
+            have_lo[:, :, None], need_lo[:, None, :]
+        )
+        np.maximum(overlap, 0, out=overlap)
+        return overlap.sum(axis=(1, 2), where=self._off_diagonal)
+
+    def _sample_terms(self, volumes: Sequence[LayerVolume]) -> Tuple[np.ndarray, np.ndarray]:
+        """Operations (int64) and transmission bytes (float64) of every sample."""
+        num_volumes = len(volumes)
+        operations = np.zeros(self.num_random_splits, dtype=np.int64)
+        for index, volume in enumerate(volumes):
+            edges = self._cut_edges(num_volumes, index, volume.output_height)
+            out_lo, out_hi = edges[:, :-1], edges[:, 1:]
+            macs, in_lo, in_hi = self._volume_parts(volume, out_lo, out_hi)
+            operations += macs.sum(axis=1)
+            row_elements = volume.first.in_w * volume.first.in_c
+            if index == 0:
+                # Transmission: requester scatter (encoded image) ...
+                scatter_elements = (in_hi - in_lo).sum(axis=1) * row_elements
+                transmission = scatter_elements * self.input_bytes_per_element
+            else:
+                # ... plus every volume-boundary redistribution (FP16) ...
+                moved = self._redistributed_rows(prev_lo, prev_hi, in_lo, in_hi)
+                transmission += moved * (row_elements * FP16_BYTES)
+            prev_lo, prev_hi = out_lo, out_hi
+        # ... plus the final gather, which is the whole last output whatever
+        # the split.
+        last = volumes[-1].last
+        transmission += last.out_h * last.out_w * last.out_c * FP16_BYTES
+        return operations, transmission
 
     def cache_info(self) -> dict:
         """Hit/miss counters of the mean-score cache."""
@@ -153,7 +306,7 @@ class PartitionCostModel:
         decisions_per_volume: Sequence[SplitDecision],
     ) -> PartitionCost:
         """Cost of one concrete (partition, split decisions) combination."""
-        volumes = self._volumes_for(boundaries)
+        volumes = cached_partition(self.model, boundaries)
         if len(volumes) != len(decisions_per_volume):
             raise ValueError(
                 f"{len(volumes)} volumes but {len(decisions_per_volume)} split decisions"
@@ -193,8 +346,9 @@ class PartitionCostModel:
     def mean_score(self, boundaries: Sequence[int], alpha: float) -> float:
         """Average ``Cp`` over ``|Rr_s|`` random split decisions (Eq. 4).
 
-        Results are memoized per (boundaries, alpha): the random split set is
-        re-drawn from the same seed on every call, so a recompute could only
+        All samples are scored as one array program (see the module
+        docstring).  Results are memoized per (boundaries, alpha): the random
+        split set is a pure function of the seed, so a recompute could only
         ever return the identical value.
         """
         check_fraction(alpha, "alpha")
@@ -202,15 +356,15 @@ class PartitionCostModel:
         cached = self._score_cache.get(key)
         if cached is not None:
             return cached
-        rng = self._fresh_rng()
-        volumes = self._volumes_for(boundaries)
+        operations, transmission = self._sample_terms(cached_partition(self.model, key[0]))
+        scores = alpha * (transmission / self._bytes_norm) + (1.0 - alpha) * (
+            operations / self._ops_norm
+        )
+        # Sum in sample order, as the per-sample loop does; np.sum's
+        # pairwise order would move the last bits.
         total = 0.0
-        for _ in range(self.num_random_splits):
-            decisions = [
-                random_split_decisions(self.num_devices, v.output_height, 1, rng)[0]
-                for v in volumes
-            ]
-            total += self.sample_cost(boundaries, decisions).score(alpha)
+        for value in scores.tolist():
+            total += value
         score = total / self.num_random_splits
         self._score_cache.put(key, score)
         return score

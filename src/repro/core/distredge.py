@@ -30,6 +30,7 @@ from repro.devices.specs import DeviceInstance
 from repro.network.topology import NetworkModel
 from repro.nn.graph import ModelSpec
 from repro.nn.splitting import SplitDecision
+from repro.obs.profile import NULL_PROFILER
 from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.oracles import GroundTruthComputeOracle, ProfileComputeOracle
@@ -77,6 +78,9 @@ class DistrEdge:
 
     def __init__(self, config: Optional[DistrEdgeConfig] = None) -> None:
         self.config = config or DistrEdgeConfig()
+        #: Wall-clock profiler; :meth:`plan_detailed` times its LC-PSS and
+        #: OSDS stages as ``plan.lcpss`` and ``plan.osds``.
+        self.profiler = NULL_PROFILER
 
     # ------------------------------------------------------------------ #
     def _planning_evaluator(
@@ -224,10 +228,12 @@ class DistrEdge:
         profiles: Optional[Sequence[LatencyProfile]] = None,
     ) -> DistrEdgeResult:
         """Full pipeline returning the plan plus per-stage results."""
-        lcpss_result = self.partition(model, devices)
-        osds_result = self.split(
-            model, lcpss_result.boundaries, devices, network, profiles
-        )
+        with self.profiler.section("plan.lcpss"):
+            lcpss_result = self.partition(model, devices)
+        with self.profiler.section("plan.osds"):
+            osds_result = self.split(
+                model, lcpss_result.boundaries, devices, network, profiles
+            )
         plan = DistributionPlan(
             model=model,
             devices=devices,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from repro.core.cost import random_split_decisions
 from repro.core.ddpg import DDPGConfig
 from repro.core.osds import OSDSConfig
 from repro.devices.specs import make_cluster
@@ -17,6 +18,7 @@ from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.nn.execution import ModelExecutor
 from repro.runtime.evaluator import PlanEvaluator
+from repro.utils.rng import as_rng
 
 # A global hypothesis profile keeping property tests quick and deadline-free
 # (the NumPy conv reference can be slow on the first JIT-less call).
@@ -43,6 +45,31 @@ def small_model():
 def vgg16_model():
     """Full VGG-16 layer configuration (used config-only, never executed)."""
     return model_zoo.vgg16()
+
+
+@pytest.fixture(scope="session")
+def scalar_mean_score():
+    """Scalar reference of ``PartitionCostModel.mean_score``: the per-sample loop.
+
+    Draws one decision per volume per sample with
+    :func:`random_split_decisions`, scores each sample with ``sample_cost``
+    and sums the scores sequentially — the order the array path must match
+    float for float.
+    """
+
+    def mean_score(cost_model, boundaries, alpha):
+        rng = as_rng(cost_model.seed)
+        volumes = cost_model.model.partition(list(boundaries))
+        total = 0.0
+        for _ in range(cost_model.num_random_splits):
+            decisions = [
+                random_split_decisions(cost_model.num_devices, v.output_height, 1, rng)[0]
+                for v in volumes
+            ]
+            total += cost_model.sample_cost(boundaries, decisions).score(alpha)
+        return total / cost_model.num_random_splits
+
+    return mean_score
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost import PartitionCostModel, partition_score, random_split_decisions
 from repro.nn import model_zoo
@@ -31,6 +34,27 @@ class TestRandomSplitDecisions:
         a = random_split_decisions(3, 20, 4, as_rng(7))
         b = random_split_decisions(3, 20, 4, as_rng(7))
         assert [d.cuts for d in a] == [d.cuts for d in b]
+
+    @given(
+        seed=st.integers(0, 2**16),
+        num_devices=st.sampled_from([1, 2, 3, 16]),
+        height=st.integers(1, 60),
+        count=st.integers(1, 12),
+    )
+    @settings(max_examples=40, derandomize=True)
+    def test_stream_matches_inline_draw(self, seed, num_devices, height, count):
+        """The draw order, including the all-dropped redraw, is pinned."""
+        rng = as_rng(seed)
+        expected = []
+        for _ in range(count):
+            fractions = rng.random(num_devices)
+            drop = rng.random(num_devices) < 0.2
+            fractions = np.where(drop, 0.0, fractions)
+            if fractions.sum() <= 0:
+                fractions[int(rng.integers(num_devices))] = 1.0
+            expected.append(SplitDecision.from_fractions(fractions, height))
+        drawn = random_split_decisions(num_devices, height, count, as_rng(seed))
+        assert drawn == expected
 
 
 class TestSampleCost:
@@ -134,3 +158,51 @@ class TestScoreCache:
         cached.mean_score([0, 6, 12], 0.75)  # warm the cache
         fresh = PartitionCostModel(model, 3, num_random_splits=6, seed=2)
         assert cached.mean_score([0, 6, 12], 0.75) == fresh.mean_score([0, 6, 12], 0.75)
+
+
+#: Models the array-scoring parity property draws from, built once.
+PARITY_MODELS = {
+    name: model_zoo.get(name)
+    for name in ("small_vgg", "tiny_cnn", "vgg16", "resnet50", "yolov2", "inception_v3")
+}
+
+
+@st.composite
+def scoring_cases(draw):
+    model = PARITY_MODELS[draw(st.sampled_from(sorted(PARITY_MODELS)))]
+    n = model.num_spatial_layers
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=min(n - 1, 8)))
+    return (
+        model,
+        [0, *sorted(cuts), n],
+        draw(st.sampled_from([1, 2, 3, 4, 16])),
+        draw(st.sampled_from([1, 7, 30])),
+        draw(st.sampled_from([0.0, 0.75, 1.0])),
+        draw(st.integers(0, 1000)),
+    )
+
+
+class TestArrayScoringParity:
+    """The array ``mean_score`` returns the per-sample loop's exact floats."""
+
+    @given(case=scoring_cases())
+    @settings(max_examples=100, derandomize=True)
+    def test_mean_score_equals_scalar_loop(self, case, scalar_mean_score):
+        model, boundaries, num_devices, num_random_splits, alpha, seed = case
+        cost_model = PartitionCostModel(
+            model, num_devices, num_random_splits=num_random_splits, seed=seed
+        )
+        assert cost_model.mean_score(boundaries, alpha) == scalar_mean_score(
+            cost_model, boundaries, alpha
+        )
+
+    def test_mean_score_builds_no_split_parts(self, model, monkeypatch):
+        """Scoring runs on arrays; only ``sample_cost`` builds split parts."""
+        import repro.core.cost as cost
+
+        def forbidden(*args):
+            raise AssertionError("mean_score called split_volume")
+
+        monkeypatch.setattr(cost, "split_volume", forbidden)
+        cm = PartitionCostModel(model, 3, num_random_splits=5, seed=0)
+        assert cm.mean_score([0, 6, model.num_spatial_layers], 0.75) > 0

@@ -69,3 +69,26 @@ class TestLCPSS:
         vgg = model_zoo.vgg16()
         result = LCPSS(vgg, num_devices=4, alpha=0.75, num_random_splits=10, seed=0).search()
         assert 3 <= result.num_volumes <= 8
+
+
+class TestArrayScoringPins:
+    """LC-PSS on the array scorer walks the scalar loop's search exactly."""
+
+    @pytest.mark.parametrize("name", ["small_vgg", "tiny_cnn"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 1.0])
+    def test_search_matches_scalar_scoring(self, name, alpha, scalar_mean_score):
+        model = model_zoo.get(name)
+        fast = LCPSS(model, num_devices=3, alpha=alpha, num_random_splits=6, seed=0)
+        slow = LCPSS(model, num_devices=3, alpha=alpha, num_random_splits=6, seed=0)
+        slow.score = lambda b: scalar_mean_score(slow.cost_model, b, slow.alpha)
+        a, b = fast.search(), slow.search()
+        assert a.boundaries == b.boundaries
+        assert a.score == b.score
+        assert a.history == b.history
+        assert a.passes == b.passes
+
+    def test_vgg16_benchmark_partition(self, vgg16_model):
+        """The partition the end-to-end ``plan`` workload builds on."""
+        result = LCPSS(vgg16_model, 16, alpha=0.75, num_random_splits=10, seed=17).search()
+        assert result.boundaries == [0, 6, 10, 12, 14, 15, 16, 18]
+        assert result.score == 0.4066141105251013

@@ -479,3 +479,15 @@ class TestServeObservability:
         assert code == 0
         out = capsys.readouterr().out
         assert "plan.search" in out and "plan.evaluate" in out
+
+    def test_plan_profile_splits_distredge_stages(self, capsys):
+        code = main([
+            "plan", "--model", "tiny_cnn",
+            "--devices", "nano:70", "nano:70",
+            "--method", "distredge", "--episodes", "2", "--random-splits", "3",
+            "--profile",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "plan.lcpss" in out and "plan.osds" in out and "plan.evaluate" in out
+        assert "plan.search" not in out
