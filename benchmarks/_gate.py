@@ -1,10 +1,10 @@
 """Shared bench-gate bookkeeping for the ``BENCH_*.json`` artifact trail.
 
-Every CI speedup gate (bench-planner, bench-osds, bench-shard, bench-serve)
+Every CI speedup gate (bench-planner, bench-osds, bench-serve, ...)
 records its measurements in a ``BENCH_*.json`` file that CI prints and
-uploads.  Some gates cannot always be enforced (the shard gate needs more
-cores than workers), and a skipped run must never overwrite enforced
-numbers: the file keeps the last *enforced* result at top level and records
+uploads.  Some gates cannot always be enforced (bench-engine and bench-obs
+need a committed, enforced baseline from another gate to compare against),
+and a skipped run must never overwrite enforced numbers: the file keeps the last *enforced* result at top level and records
 the skip — machine facts, reason, unenforced measurements — under
 ``skipped_run``, so the artifact trail cannot silently degrade into ungated
 measurements.  CI distinguishes the two via ``last_run_enforced`` (did
@@ -12,9 +12,9 @@ measurements.  CI distinguishes the two via ``last_run_enforced`` (did
 numbers come from an enforced run, possibly an earlier one?) and only
 uploads artifacts whose gate actually ran.
 
-This helper centralises that bookkeeping (it grew up inside
-``test_bench_shard.py``); benches call :func:`record_gate_result` with their
-rows and whether this run enforced the gate.
+This helper centralises that bookkeeping; benches call
+:func:`record_gate_result` with their rows and whether this run enforced the
+gate.
 
 The module is also a tiny CLI for CI's guard step::
 

@@ -16,8 +16,8 @@ component this PR vectorises.  The full training loop (paper-size networks,
 one update per step) is also measured and recorded, unenforced, so the
 end-to-end picture stays on the record.
 
-Unlike the shard gate, nothing here needs multiple cores — the win is
-single-core vectorisation — so the gate is enforced everywhere.
+Nothing here needs multiple cores — the win is single-core vectorisation
+— so the gate is enforced everywhere.
 """
 
 from __future__ import annotations

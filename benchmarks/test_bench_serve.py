@@ -13,8 +13,8 @@ and once through the epoch-batched loop
 The gate asserts the batched event loop serves the workload at least
 ``MIN_SPEEDUP`` (5x) faster in wall time, and that the two loops' reports
 are bit-identical (the parity contract, re-checked here on the gated
-workload itself).  Like the OSDS gate — and unlike the shard gate — nothing
-here needs multiple cores, so the gate is enforced everywhere.  Numbers
+workload itself).  Like the OSDS gate, nothing here needs multiple cores,
+so the gate is enforced everywhere.  Numbers
 land in ``BENCH_serve.json`` via the shared :mod:`_gate` bookkeeping.
 """
 

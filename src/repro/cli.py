@@ -26,9 +26,7 @@ Five subcommands cover the common workflows without writing Python:
 
 Clusters are given either as ad-hoc ``--devices`` specs or as ``--scenario``
 references — a catalogue name (``DB``, ``LA``...) or a procedural-generator
-spec like ``gen:n=32,seed=7,bw=50-300,types=mixed``.  ``--workers N`` shards
-plan-batch evaluation across ``N`` worker processes (see
-:class:`~repro.runtime.shard.ShardedPlanEvaluator`).
+spec like ``gen:n=32,seed=7,bw=50-300,types=mixed``.
 
 Examples
 --------
@@ -41,7 +39,7 @@ Examples
     python -m repro.cli evaluate plan.json --bandwidth 50
     python -m repro.cli evaluate plan.json --scenario gen:n=32,seed=7
     python -m repro.cli compare --scenario DB --bandwidth 300 --episodes 150
-    python -m repro.cli compare --scenario gen:n=32,seed=7 --workers 4
+    python -m repro.cli compare --scenario gen:n=32,seed=7
     python -m repro.cli serve --scenario gen:n=16,seed=7 --duration 30 \
         --tenant coedge --tenant offload --traffic traffic:poisson,rate=2
     python -m repro.cli serve --scenario DB --contention --discipline wfq \
@@ -156,10 +154,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         with profiler.section("plan.search"):
             plan = BASELINE_REGISTRY[args.method]().plan(model, devices, network)
     print(plan.describe())
-    if args.workers > 1:
-        # Sharding pays off on plan *batches*; a single plan is always
-        # evaluated in-process (see `compare --workers` for the batch path).
-        print(f"note: --workers {args.workers} has no effect on a single-plan evaluation")
     with profiler.section("plan.evaluate"):
         result = PlanEvaluator(devices, network).evaluate(plan)
     print(f"predicted latency: {result.end_to_end_ms:.1f} ms ({result.ips:.2f} IPS)")
@@ -212,8 +206,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         plan = plan_from_dict(data)
         devices = plan.devices
         network = NetworkModel.constant_from_devices(devices)
-    if args.workers > 1:
-        print(f"note: --workers {args.workers} has no effect on a single-plan evaluation")
     result = PlanEvaluator(devices, network).evaluate(plan)
     summary = evaluation_to_dict(result)
     print(f"method: {plan.method}  model: {plan.model.name}")
@@ -232,23 +224,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if scenario is None:
         return 2
     profiler = Profiler() if args.profile else NULL_PROFILER
-    with ExperimentHarness(
+    harness = ExperimentHarness(
         HarnessConfig(
             osds_episodes=args.episodes,
             num_random_splits=args.random_splits,
             seed=args.seed,
-            workers=args.workers,
             osds_episode_batch=args.episode_batch,
             osds_policy_refresh=args.policy_refresh,
         )
-    ) as harness:
-        with profiler.section("compare.run"):
-            results = harness.compare(scenario, methods=ALL_METHODS, model_name=args.model)
-        print(
-            format_ips_table({scenario.name: harness.ips_table(results)}, methods=list(ALL_METHODS))
-        )
-        print(f"DistrEdge speedup over best baseline: "
-              f"{harness.speedup_over_best_baseline(results):.2f}x")
+    )
+    with profiler.section("compare.run"):
+        results = harness.compare(scenario, methods=ALL_METHODS, model_name=args.model)
+    print(
+        format_ips_table({scenario.name: harness.ips_table(results)}, methods=list(ALL_METHODS))
+    )
+    print(f"DistrEdge speedup over best baseline: "
+          f"{harness.speedup_over_best_baseline(results):.2f}x")
     if profiler.enabled:
         print(profiler.format_table())
     return 0
@@ -332,21 +323,19 @@ def _cmd_serve_figure(args: argparse.Namespace, parsed, deadlines, weights, poli
     scenario = _scenario_from_args(args.scenario, args.bandwidth)
     if scenario is None:
         return 2
-    with ExperimentHarness(
-        HarnessConfig(osds_episodes=args.episodes, seed=args.seed, workers=args.workers)
-    ) as harness:
-        curve = serving_load_curve(
-            harness,
-            scenario,
-            rates_rps=rates,
-            methods=[method for method, _ in parsed],
-            model_name=next(iter(models)),
-            duration_s=args.duration,
-            deadline_ms=deadlines,
-            policy=policy,
-            seed=args.seed,
-            weight=weights,
-        )
+    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
+    curve = serving_load_curve(
+        harness,
+        scenario,
+        rates_rps=rates,
+        methods=[method for method, _ in parsed],
+        model_name=next(iter(models)),
+        duration_s=args.duration,
+        deadline_ms=deadlines,
+        policy=policy,
+        seed=args.seed,
+        weight=weights,
+    )
     print(format_series(curve, title="deadline-miss rate vs offered load"))
     if args.report_json:
         _write_report_json(args.report_json, curve, provenance=_provenance(args))
@@ -564,32 +553,30 @@ def _cmd_serve_plan_capacity(
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    with ExperimentHarness(
-        HarnessConfig(osds_episodes=args.episodes, seed=args.seed, workers=args.workers)
-    ) as harness:
-        probe = harness.capacity_probe_runner(
-            args.scenario,
-            methods=methods,
-            model_name=model_name,
-            traffic=traffic_list,
-            deadline_ms=deadlines,
-            queue_capacity=None,
-            duration_s=args.duration,
-            policy=policy,
-            weight=weights,
-            engine=args.engine,
-            slots=args.slots or 1,
-            faults=faults,
-            retry=retry,
-            degradation=degradation,
-        )
-        tracer = None
-        if args.trace_json:
-            from repro.obs import Tracer
+    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
+    probe = harness.capacity_probe_runner(
+        args.scenario,
+        methods=methods,
+        model_name=model_name,
+        traffic=traffic_list,
+        deadline_ms=deadlines,
+        queue_capacity=None,
+        duration_s=args.duration,
+        policy=policy,
+        weight=weights,
+        engine=args.engine,
+        slots=args.slots or 1,
+        faults=faults,
+        retry=retry,
+        degradation=degradation,
+    )
+    tracer = None
+    if args.trace_json:
+        from repro.obs import Tracer
 
-            tracer = Tracer()
-        planner = CapacityPlanner(probe, config, tracer=tracer)
-        plan = planner.plan()
+        tracer = Tracer()
+    planner = CapacityPlanner(probe, config, tracer=tracer)
+    plan = planner.plan()
     print(format_capacity_plan(plan, title="capacity plan"))
     if tracer is not None:
         tracer.write_chrome(args.trace_json, provenance=_provenance(args))
@@ -629,34 +616,32 @@ def _cmd_serve_autoscale(
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    with ExperimentHarness(
-        HarnessConfig(osds_episodes=args.episodes, seed=args.seed, workers=args.workers)
-    ) as harness:
-        run_window = harness.autoscale_window_runner(
-            args.scenario,
-            window_s=args.window_s,
-            num_windows=args.windows,
-            methods=methods,
-            model_name=model_name,
-            traffic=traffic_list,
-            deadline_ms=deadlines,
-            queue_capacity=None,
-            policy=policy,
-            weight=weights,
-            engine=args.engine,
-            slots=args.slots or 1,
-            faults=faults,
-            retry=retry,
-            degradation=degradation,
-        )
-        tracer = None
-        if args.trace_json:
-            from repro.obs import Tracer
+    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
+    run_window = harness.autoscale_window_runner(
+        args.scenario,
+        window_s=args.window_s,
+        num_windows=args.windows,
+        methods=methods,
+        model_name=model_name,
+        traffic=traffic_list,
+        deadline_ms=deadlines,
+        queue_capacity=None,
+        policy=policy,
+        weight=weights,
+        engine=args.engine,
+        slots=args.slots or 1,
+        faults=faults,
+        retry=retry,
+        degradation=degradation,
+    )
+    tracer = None
+    if args.trace_json:
+        from repro.obs import Tracer
 
-            tracer = Tracer()
-        report = FleetAutoscaler(run_window, config, tracer=tracer).run(
-            args.windows, initial_devices=lo
-        )
+        tracer = Tracer()
+    report = FleetAutoscaler(run_window, config, tracer=tracer).run(
+        args.windows, initial_devices=lo
+    )
     print(format_autoscale_report(report, title="autoscaled serving"))
     if tracer is not None:
         tracer.write_chrome(args.trace_json, provenance=_provenance(args))
@@ -668,7 +653,6 @@ def _cmd_serve_autoscale(
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime.batch import BatchPlanEvaluator
-    from repro.runtime.shard import ShardedPlanEvaluator
     from repro.serving import ServingSimulator, run_with_parity
     from repro.experiments.reporting import (
         format_fault_report,
@@ -782,14 +766,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 2
 
-    sharded = None
-    if args.workers >= 2:
-        sharded = ShardedPlanEvaluator(scenario, num_workers=args.workers, seed=args.seed)
-        evaluator = sharded
-        devices, network = sharded.devices, sharded.network
-    else:
-        devices, network = scenario.build(seed=args.seed)
-        evaluator = BatchPlanEvaluator(devices, network)
+    devices, network = scenario.build(seed=args.seed)
+    evaluator = BatchPlanEvaluator(devices, network)
     print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
     tracer = metrics = profiler = None
     if args.trace_json or args.metrics_json or args.profile:
@@ -802,97 +780,93 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.profile:
             profiler = Profiler()
             evaluator.profiler = profiler
-    try:
-        tenants = _build_tenants(
-            args, parsed, devices, network,
-            traffics, deadlines, capacities, weights, slot_counts,
+    tenants = _build_tenants(
+        args, parsed, devices, network,
+        traffics, deadlines, capacities, weights, slot_counts,
+    )
+    if tenants is None:
+        return 2
+    if args.mode == "parity":
+        reference = PlanEvaluator(devices, network)
+        report = run_with_parity(
+            evaluator,
+            reference,
+            tenants,
+            duration_s=args.duration,
+            policy=policy,
+            engine=args.engine,
+            faults=faults,
+            retry=retry,
+            degradation=degradation,
+            tracer=tracer,
         )
-        if tenants is None:
-            return 2
-        if args.mode == "parity":
-            reference = PlanEvaluator(devices, network)
-            report = run_with_parity(
-                evaluator,
-                reference,
-                tenants,
-                duration_s=args.duration,
-                policy=policy,
-                engine=args.engine,
-                faults=faults,
-                retry=retry,
-                degradation=degradation,
-                tracer=tracer,
-            )
-            print(
-                f"parity: {args.engine} engine batched loop is bit-identical "
-                "to the reference loop"
-            )
-            if metrics is not None:
-                # run_with_parity returns the committed report; derive the
-                # registry from it exactly as ServingSimulator.run would.
-                record_serving_report(metrics, report)
-        else:
-            if args.engine == "array" and args.mode == "reference":
-                print(
-                    "--engine array has no reference mode; the reference loop "
-                    "is the object-engine oracle (use --mode parity to check "
-                    "the array engine against it)",
-                    file=sys.stderr,
-                )
-                return 2
-            simulator = ServingSimulator(evaluator)
-            if profiler is not None:
-                simulator.profiler = profiler
-            report = simulator.run(
-                tenants,
-                duration_s=args.duration,
-                mode=args.mode,
-                policy=policy,
-                engine=args.engine,
-                faults=faults,
-                retry=retry,
-                degradation=degradation,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        print(format_serving_table(report))
-        if report.fleet is not None:
-            print(format_fleet_table(report, title="fleet lane load"))
-        if report.faults is not None:
-            print(format_fault_report(report, title="fleet churn"))
-        if report.slo_violations:
-            print(f"SLO violations: {', '.join(report.slo_violations)}")
-        if alert_monitor is not None:
-            from repro.experiments.reporting import format_alert_timeline
-
-            # Evaluate before the trace is written so the alert instants
-            # land on the control:slo track of --trace-json.
-            timeline = alert_monitor.evaluate(report, tracer=tracer)
-            if args.alerts:
-                print(format_alert_timeline(timeline, title="SLO burn-rate alerts"))
-            if args.alerts_json:
-                _write_report_json(
-                    args.alerts_json, timeline.to_dict(), provenance=_provenance(args)
-                )
-        if tracer is not None:
-            tracer.write_chrome(args.trace_json, provenance=_provenance(args))
-            print(f"trace written to {args.trace_json}")
+        print(
+            f"parity: {args.engine} engine batched loop is bit-identical "
+            "to the reference loop"
+        )
         if metrics is not None:
-            import json
-            from pathlib import Path
-
-            snapshot = {**metrics.snapshot(), "provenance": _provenance(args)}
-            Path(args.metrics_json).write_text(
-                json.dumps(snapshot, indent=2) + "\n"
+            # run_with_parity returns the committed report; derive the
+            # registry from it exactly as ServingSimulator.run would.
+            record_serving_report(metrics, report)
+    else:
+        if args.engine == "array" and args.mode == "reference":
+            print(
+                "--engine array has no reference mode; the reference loop "
+                "is the object-engine oracle (use --mode parity to check "
+                "the array engine against it)",
+                file=sys.stderr,
             )
-            print(f"metrics written to {args.metrics_json}")
+            return 2
+        simulator = ServingSimulator(evaluator)
         if profiler is not None:
-            print(profiler.format_table())
-        if args.report_json:
-            _write_report_json(args.report_json, report.to_dict(), provenance=_provenance(args))
-    finally:
-        if sharded is not None:
-            sharded.close()
+            simulator.profiler = profiler
+        report = simulator.run(
+            tenants,
+            duration_s=args.duration,
+            mode=args.mode,
+            policy=policy,
+            engine=args.engine,
+            faults=faults,
+            retry=retry,
+            degradation=degradation,
+            tracer=tracer,
+            metrics=metrics,
+        )
+    print(format_serving_table(report))
+    if report.fleet is not None:
+        print(format_fleet_table(report, title="fleet lane load"))
+    if report.faults is not None:
+        print(format_fault_report(report, title="fleet churn"))
+    if report.slo_violations:
+        print(f"SLO violations: {', '.join(report.slo_violations)}")
+    if alert_monitor is not None:
+        from repro.experiments.reporting import format_alert_timeline
+
+        # Evaluate before the trace is written so the alert instants
+        # land on the control:slo track of --trace-json.
+        timeline = alert_monitor.evaluate(report, tracer=tracer)
+        if args.alerts:
+            print(format_alert_timeline(timeline, title="SLO burn-rate alerts"))
+        if args.alerts_json:
+            _write_report_json(
+                args.alerts_json, timeline.to_dict(), provenance=_provenance(args)
+            )
+    if tracer is not None:
+        tracer.write_chrome(args.trace_json, provenance=_provenance(args))
+        print(f"trace written to {args.trace_json}")
+    if metrics is not None:
+        import json
+        from pathlib import Path
+
+        snapshot = {**metrics.snapshot(), "provenance": _provenance(args)}
+        Path(args.metrics_json).write_text(
+            json.dumps(snapshot, indent=2) + "\n"
+        )
+        print(f"metrics written to {args.metrics_json}")
+    if profiler is not None:
+        print(profiler.format_table())
+    if args.report_json:
+        _write_report_json(args.report_json, report.to_dict(), provenance=_provenance(args))
     return 0
 
 
@@ -1035,9 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--alpha", type=float, default=0.75)
     p_plan.add_argument("--random-splits", type=int, default=30)
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sharded batch evaluation "
-                             "(no effect on a single plan; see compare)")
     p_plan.add_argument("--output", default=None, help="write the plan to this JSON file")
     p_plan.add_argument("--profile", action="store_true",
                         help="print a wall-clock profile of the planning search "
@@ -1056,10 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "resolve it; device types must match the plan")
     p_eval.add_argument("--seed", type=int, default=0,
                         help="scenario build seed (trace construction)")
-    p_eval.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sharded batch evaluation "
-                             "(no effect on a single plan; accepted for "
-                             "interface consistency with plan/compare)")
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_serve = sub.add_parser(
@@ -1106,8 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--episodes", type=int, default=50,
                          help="OSDS episodes for distredge tenants")
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--workers", type=int, default=1,
-                         help="shard epoch batches over N worker processes")
     p_serve.add_argument("--contention", action="store_true",
                          help="model shared-fleet lane contention: concurrent "
                               "requests queue on per-device compute/send/recv "
@@ -1268,9 +1233,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 0.05)")
     p_serve.add_argument("--profile", action="store_true",
                          help="print a wall-clock profile of where the run's "
-                              "host time went (evaluator sweeps, shard "
-                              "dispatch/merge, cache hit rates); wall-clock "
-                              "only — never affects simulated results")
+                              "host time went (evaluator sweeps, cache hit "
+                              "rates); wall-clock only — never affects "
+                              "simulated results")
     p_serve.add_argument("--figure", action="store_true",
                          help="sweep Poisson offered load over --figure-rates and "
                               "print the deadline-miss-vs-load curve instead of "
@@ -1372,8 +1337,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="episodes between OSDS acting-policy snapshot refreshes")
     p_cmp.add_argument("--random-splits", type=int, default=20)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--workers", type=int, default=1,
-                       help="worker processes for sharded plan evaluation")
     p_cmp.add_argument("--profile", action="store_true",
                        help="print a wall-clock profile of the comparison run "
                             "(host time only)")

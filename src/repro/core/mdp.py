@@ -124,12 +124,6 @@ class SplitMDP:
         self.boundaries = list(boundaries)
         self.devices = list(devices)
         self.evaluator = evaluator
-        # A ShardedPlanEvaluator is accepted too: whole-plan batches
-        # (offload scale, seed warm-up) fan out to its worker pool while the
-        # per-volume stepping below runs on its in-process engine — the
-        # sharded `local` engine is a drop-in PlanEvaluator and bit-identical
-        # to the pool by construction.
-        self._stepper: PlanEvaluator = getattr(evaluator, "local", evaluator)
         self.reward_scale = float(reward_scale)
         self.volumes: List[LayerVolume] = cached_partition(model, self.boundaries)
         self._max_height = max(v.output_height for v in self.volumes)
@@ -206,7 +200,7 @@ class SplitMDP:
 
     def reset(self, t_seconds: float = 0.0) -> np.ndarray:
         """Start a new episode; returns the initial observation vector."""
-        self._state = self._stepper.new_state()
+        self._state = self.evaluator.new_state()
         self._decisions = []
         self._step_index = 0
         self._t_seconds = float(t_seconds)
@@ -235,13 +229,13 @@ class SplitMDP:
         assignment = VolumeAssignment(
             volume=volume, decision=decision, parts=tuple(split_volume(volume, decision))
         )
-        self._stepper.process_volume(self._state, assignment, self._t_seconds)
+        self.evaluator.process_volume(self._state, assignment, self._t_seconds)
         self._step_index += 1
         done = self._step_index >= self.num_volumes
         info: dict = {}
         if done:
             plan = self.build_plan(self._decisions)
-            result = self._stepper.finalize(self._state, plan, self._t_seconds)
+            result = self.evaluator.finalize(self._state, plan, self._t_seconds)
             reward = self.reward_scale / max(result.end_to_end_ms, 1e-6)
             info = {
                 "end_to_end_ms": result.end_to_end_ms,
@@ -316,7 +310,7 @@ class BatchSplitMDP:
             )
         self.env = env
         self.episodes = int(episodes)
-        self._evaluator: BatchPlanEvaluator = env._stepper  # type: ignore[assignment]
+        self._evaluator: BatchPlanEvaluator = env.evaluator  # type: ignore[assignment]
         self._scheduler: Optional[BatchVolumeScheduler] = None
         self._finish: Optional[np.ndarray] = None
         self._cuts: List[np.ndarray] = []
@@ -325,10 +319,10 @@ class BatchSplitMDP:
     @staticmethod
     def supports(env: SplitMDP) -> bool:
         """Whether ``env`` can be stepped in vectorised episode batches."""
-        stepper = env._stepper
+        evaluator = env.evaluator
         return (
-            isinstance(stepper, BatchPlanEvaluator)
-            and stepper.supports_vectorized_stepping
+            isinstance(evaluator, BatchPlanEvaluator)
+            and evaluator.supports_vectorized_stepping
         )
 
     # ------------------------------------------------------------------ #

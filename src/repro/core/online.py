@@ -138,11 +138,7 @@ class OnlineDistrEdgeController:
         change.
     evaluator:
         Optional externally-owned evaluator to score candidates and step the
-        splitting MDP through — pass a
-        :class:`~repro.runtime.shard.ShardedPlanEvaluator` to hand candidate
-        batches and OSDS seed warm-ups to its persistent worker pool (the
-        MDP's per-volume stepping always stays on the in-process engine).
-        Default: a private :class:`~repro.runtime.batch.BatchPlanEvaluator`.
+        splitting MDP through.  Default: a private :class:`~repro.runtime.batch.BatchPlanEvaluator`.
     """
 
     model: ModelSpec

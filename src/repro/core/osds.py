@@ -166,13 +166,11 @@ class OSDS:
         """Batch-evaluate the seed episodes' plans before training starts.
 
         Seed episodes have their whole action sequence fixed up-front, so
-        their plans can be built and evaluated as one vectorised batch —
-        through a :class:`~repro.runtime.shard.ShardedPlanEvaluator`'s warm
-        worker pool when the environment carries one.  The batch engine
-        seeds the evaluator's per-part compute memo, so when the episode
-        loop replays the same plans volume-by-volume (the stepping path,
-        which the DDPG transitions need) every part latency is a cache hit
-        returning the bit-identical float.
+        their plans can be built and evaluated as one vectorised batch.  The
+        batch engine seeds the evaluator's per-part compute memo, so when the
+        episode loop replays the same plans volume-by-volume (the stepping
+        path, which the DDPG transitions need) every part latency is a cache
+        hit returning the bit-identical float.
         """
         evaluator = self.env.evaluator
         if not seeds or not hasattr(evaluator, "evaluate_plans"):

@@ -41,7 +41,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.oracles import profiles_by_device
 from repro.runtime.plan import DistributionPlan
-from repro.runtime.shard import ShardedPlanEvaluator
 from repro.runtime.streaming import StreamingSimulator
 from repro.serving.dispatch import ClusterPolicy
 from repro.serving.simulator import ServingReport, ServingSimulator
@@ -85,10 +84,6 @@ class HarnessConfig:
     seed: int = 0
     #: Input image encoding (bytes per input element).
     input_bytes_per_element: float = 0.4
-    #: Worker processes for batch plan evaluation; 0/1 keeps evaluation
-    #: in-process, >= 2 routes scenario evaluators through a persistent
-    #: :class:`~repro.runtime.shard.ShardedPlanEvaluator` pool.
-    workers: int = 1
     #: OSDS episodes rolled out in lockstep per vectorised round.  Pure
     #: execution width — results are bit-identical for any value, so this
     #: trades nothing but memory for speed.  Rounds never cross a
@@ -147,39 +142,18 @@ class MethodResult:
 class ExperimentHarness:
     """Runs distribution methods on scenarios and evaluates the outcome."""
 
-    #: Most sharded-evaluator pools kept alive at once.  A figure sweep with
-    #: ``workers=N`` visits many scenarios; without a bound every visited
-    #: scenario would pin N idle worker processes until :meth:`close`.  The
-    #: least-recently-used pool is closed when the bound is exceeded.
-    MAX_SHARDED_POOLS = 4
-
     def __init__(self, config: Optional[HarnessConfig] = None) -> None:
         self.config = config or HarnessConfig()
         self._models: Dict[str, ModelSpec] = {}
         self._profile_cache: Dict[Tuple[str, str], TabularProfile] = {}
         # Result cache keyed on the full (frozen, hashable) Scenario rather
-        # than its name, for the same reason as the pool cache below: two
-        # different scenarios may legitimately share a name.
+        # than its name: two different scenarios may share a name (the
+        # collision ScenarioRegistry guards against), and a result measured
+        # on one must never serve the other.
         self._result_cache: Dict[Tuple[str, Scenario, str], MethodResult] = {}
-        # Keyed on the full (frozen, hashable) Scenario, not its name: two
-        # different scenarios may share a name (the collision ScenarioRegistry
-        # guards against), and a pool built for one must never serve the other.
-        self._sharded: Dict[Scenario, ShardedPlanEvaluator] = {}
         # Plans cached per (method, scenario, model) so serving load sweeps
         # (several serve_scenario calls on one fleet) plan each tenant once.
         self._plan_cache: Dict[Tuple[str, Scenario, str], DistributionPlan] = {}
-
-    def close(self) -> None:
-        """Shut down any sharded-evaluation worker pools the harness opened."""
-        for evaluator in self._sharded.values():
-            evaluator.close()
-        self._sharded.clear()
-
-    def __enter__(self) -> "ExperimentHarness":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     def model(self, name: str) -> ModelSpec:
@@ -205,52 +179,15 @@ class ExperimentHarness:
         return profiles_by_device(devices, per_type)
 
     def evaluator_for(
-        self,
-        devices: Sequence[DeviceInstance],
-        network: NetworkModel,
-        scenario: Optional[Scenario] = None,
-    ) -> Union[BatchPlanEvaluator, ShardedPlanEvaluator]:
+        self, devices: Sequence[DeviceInstance], network: NetworkModel
+    ) -> BatchPlanEvaluator:
         """Ground-truth evaluator ("real execution") used for reported IPS.
 
         Routed through the batch path: figure cells that re-evaluate a plan
         another figure already measured (e.g. Fig. 7's DB @ 50 Mbps column in
         Fig. 15) become cache hits, and streamed images on stationary
-        networks are evaluated once instead of per image.  With
-        ``config.workers >= 2`` and a scenario to rebuild from, evaluation is
-        sharded across a persistent worker pool (one pool per scenario,
-        reused across calls; see :meth:`close`).
-
-        On the sharded path the evaluator's world is rebuilt from
-        ``(scenario, config.seed, scenario.trace_kind)`` — the ``devices`` /
-        ``network`` arguments are not forwarded, so pass objects obtained
-        from ``scenario.build(seed=config.seed)`` (as :meth:`run` does).  A
-        devices/scenario fleet mismatch raises; a same-fleet different-seed
-        trace mismatch cannot be detected from the arguments and is on the
-        caller.
+        networks are evaluated once instead of per image.
         """
-        if self.config.workers >= 2 and scenario is not None:
-            held = [(d.type_name, d.bandwidth_mbps) for d in devices]
-            if held != [(t, b) for t, b in scenario.device_specs]:
-                raise ValueError(
-                    f"devices do not match scenario {scenario.name!r}: the sharded "
-                    "evaluator is rebuilt from the scenario, so pass devices from "
-                    "scenario.build(seed=config.seed)"
-                )
-            evaluator = self._sharded.pop(scenario, None)
-            if evaluator is None:
-                evaluator = ShardedPlanEvaluator(
-                    scenario,
-                    num_workers=self.config.workers,
-                    seed=self.config.seed,
-                    input_bytes_per_element=self.config.input_bytes_per_element,
-                )
-            # Re-insert at the end (most recently used) and evict the oldest
-            # pool beyond the bound.
-            self._sharded[scenario] = evaluator
-            while len(self._sharded) > self.MAX_SHARDED_POOLS:
-                oldest = next(iter(self._sharded))
-                self._sharded.pop(oldest).close()
-            return evaluator
         return BatchPlanEvaluator(
             devices, network, input_bytes_per_element=self.config.input_bytes_per_element
         )
@@ -288,7 +225,7 @@ class ExperimentHarness:
         model = self.model(model_name)
         devices, network = scenario.build(seed=self.config.seed)
         plan = self.plan_for(method, model, devices, network)
-        evaluator = self.evaluator_for(devices, network, scenario)
+        evaluator = self.evaluator_for(devices, network)
         if self.config.num_images > 0:
             simulator = StreamingSimulator(evaluator)
             stream = simulator.run(plan, num_images=self.config.num_images)
@@ -334,45 +271,8 @@ class ExperimentHarness:
         methods: Sequence[str] = ALL_METHODS,
         model_name: str = "vgg16",
     ) -> Dict[str, MethodResult]:
-        """Run several methods on one scenario.
-
-        With ``config.workers >= 2`` (and single-inference evaluation, i.e.
-        ``num_images == 0``) the uncached methods' plans are evaluated as
-        *one* batch through the scenario's sharded worker pool instead of
-        plan by plan.  One compare is a small batch (one plan per method),
-        so the evaluator fans out only as far as its per-worker minimum
-        allows — the knob pays off across sweeps that reuse the warm pool
-        and for large ``evaluate_plans`` batches on the evaluator itself.
-        """
-        if self.config.workers >= 2 and self.config.num_images == 0:
-            return self._compare_sharded(scenario, methods, model_name)
+        """Run several methods on one scenario."""
         return {m: self.run(m, scenario, model_name) for m in methods}
-
-    def _compare_sharded(
-        self,
-        scenario: Scenario,
-        methods: Sequence[str],
-        model_name: str,
-    ) -> Dict[str, MethodResult]:
-        model = self.model(model_name)
-        devices, network = scenario.build(seed=self.config.seed)
-        pending = [
-            m for m in methods if (m, scenario, model_name) not in self._result_cache
-        ]
-        plans = {m: self.plan_for(m, model, devices, network) for m in pending}
-        evaluator = self.evaluator_for(devices, network, scenario)
-        evaluations = evaluator.evaluate_plans(list(plans.values()))
-        for (method, plan), evaluation in zip(plans.items(), evaluations):
-            self._result_cache[(method, scenario, model_name)] = self._assemble_result(
-                method,
-                scenario,
-                model_name,
-                plan,
-                evaluation,
-                evaluation.ips,
-                evaluation.end_to_end_ms,
-            )
-        return {m: self._result_cache[(m, scenario, model_name)] for m in methods}
 
     # ------------------------------------------------------------------ #
     def serve_scenario(
@@ -402,12 +302,11 @@ class ExperimentHarness:
         (``traffic`` and ``deadline_ms`` broadcast a single value to every
         tenant, or supply one per method — note a single *spec* means a
         single *seed*, i.e. identical arrival times for every tenant).
-        Evaluation routes through :meth:`evaluator_for`, so
-        ``config.workers >= 2`` fans the epoch batches out to the scenario's
-        persistent sharded worker pool.  ``policy`` switches on shared-fleet
-        lane contention with the given cross-tenant dispatch discipline;
-        ``engine="array"`` routes the run through the vectorised serving
-        engine of :mod:`repro.serving.engine` (bit-identical results).
+        Evaluation routes through :meth:`evaluator_for`.  ``policy``
+        switches on shared-fleet lane contention with the given cross-tenant
+        dispatch discipline; ``engine="array"`` routes the run through the
+        vectorised serving engine of :mod:`repro.serving.engine`
+        (bit-identical results).
         Plans are cached per (method, scenario, model) within the harness,
         so load sweeps re-plan each tenant once, not once per point.
         ``slots`` sets within-tenant concurrency (broadcast like ``weight``)
@@ -449,7 +348,7 @@ class ExperimentHarness:
             )
         model = self.model(model_name)
         devices, network = scenario.build(seed=self.config.seed)
-        evaluator = self.evaluator_for(devices, network, scenario)
+        evaluator = self.evaluator_for(devices, network)
         tenants = []
         for i, method in enumerate(methods):
             plan_key = (method, scenario, model_name)

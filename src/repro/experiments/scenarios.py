@@ -19,10 +19,12 @@ silently share one name — repeated :meth:`Scenario.with_bandwidth` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.devices.specs import DEVICE_CATALOG, DeviceInstance, make_cluster
+from repro.network.bandwidth import TRACE_KINDS
 from repro.network.topology import NetworkModel
 from repro.utils.rng import SeedLike, as_rng
 
@@ -104,8 +106,7 @@ class Scenario:
         trace_kind: str = "constant",
     ) -> "Scenario":
         """Wrap an ad-hoc ``(type, bandwidth)`` list (e.g. a CLI ``--devices``
-        cluster) so it can flow through scenario-based machinery such as
-        :class:`~repro.runtime.shard.ShardedPlanEvaluator`."""
+        cluster) so it can flow through scenario-based machinery."""
         specs = tuple((t, float(b)) for t, b in device_specs)
         return cls(
             name=name,
@@ -382,8 +383,8 @@ def generate_scenario(
         Fleet size; the large-scale experiments use 16-64.
     seed:
         Seed of the fleet-composition RNG.  The same knob values always
-        produce the identical scenario (name included), which is what lets a
-        sharded evaluator's worker processes rebuild the fleet from the spec.
+        produce the identical scenario (name included), so a spec string
+        alone reproduces the fleet.
     bandwidth_mbps:
         Either a single rate applied to every link or a ``(low, high)`` range
         sampled per device (rounded to whole Mbps, then clamped to the range
@@ -394,18 +395,24 @@ def generate_scenario(
         (``"nano+xavier"``) or an explicit sequence of type names; device
         types are drawn uniformly from the pool.
     trace_kind:
-        Trace family every link uses when the scenario is built
-        (``"constant"``, ``"wifi"`` or ``"dynamic"``).
+        Trace family every link uses when the scenario is built, one of
+        :data:`~repro.network.bandwidth.TRACE_KINDS`.
     """
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
+    if trace_kind not in TRACE_KINDS:
+        raise ValueError(
+            f"unknown trace kind {trace_kind!r}; expected {'|'.join(TRACE_KINDS)}"
+        )
     pool = _resolve_type_pool(heterogeneity)
     if isinstance(bandwidth_mbps, (int, float)):
         low = high = float(bandwidth_mbps)
     else:
         low, high = (float(bandwidth_mbps[0]), float(bandwidth_mbps[1]))
-        if low > high:
-            raise ValueError(f"bandwidth range is inverted: {low} > {high}")
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(f"bandwidth must be finite, got {bandwidth_mbps!r}")
+    if low > high:
+        raise ValueError(f"bandwidth range is inverted: {low} > {high}")
     if low <= 0:
         raise ValueError(f"bandwidth must be positive, got {low}")
     rng = as_rng(int(seed))
@@ -431,6 +438,21 @@ def generate_scenario(
     )
 
 
+def _generator_options(spec: str) -> Dict[str, str]:
+    """Split a ``gen:key=value,...`` spec into its options, in spec order."""
+    if not spec.startswith(GENERATOR_PREFIX):
+        raise ValueError(f"generator spec must start with {GENERATOR_PREFIX!r}, got {spec!r}")
+    options: Dict[str, str] = {}
+    for item in filter(None, (part.strip() for part in spec[len(GENERATOR_PREFIX):].split(","))):
+        if "=" not in item:
+            raise ValueError(f"malformed generator option {item!r}; expected key=value")
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in options:
+            raise ValueError(f"generator option {key!r} given more than once in {spec!r}")
+        options[key] = value
+    return options
+
+
 def parse_generator_spec(spec: str) -> Scenario:
     """Parse the CLI generator grammar into a :class:`Scenario`.
 
@@ -444,15 +466,7 @@ def parse_generator_spec(spec: str) -> Scenario:
 
     Example: ``gen:n=32,seed=7,bw=50-300,types=mixed,trace=constant``.
     """
-    if not spec.startswith(GENERATOR_PREFIX):
-        raise ValueError(f"generator spec must start with {GENERATOR_PREFIX!r}, got {spec!r}")
-    body = spec[len(GENERATOR_PREFIX):]
-    options: Dict[str, str] = {}
-    for item in filter(None, (part.strip() for part in body.split(","))):
-        if "=" not in item:
-            raise ValueError(f"malformed generator option {item!r}; expected key=value")
-        key, value = item.split("=", 1)
-        options[key.strip()] = value.strip()
+    options = _generator_options(spec)
     known = {"n", "seed", "bw", "types", "trace"}
     unknown = set(options) - known
     if unknown:
@@ -483,15 +497,7 @@ def override_generator_spec(spec: str, **overrides) -> str:
     ``"gen:n=12,seed=7,bw=100"``), keeping every other knob — seed, types,
     bandwidth, trace — exactly as given, so probes differ only in size.
     """
-    if not spec.startswith(GENERATOR_PREFIX):
-        raise ValueError(f"generator spec must start with {GENERATOR_PREFIX!r}, got {spec!r}")
-    body = spec[len(GENERATOR_PREFIX):]
-    options: Dict[str, str] = {}
-    for item in filter(None, (part.strip() for part in body.split(","))):
-        if "=" not in item:
-            raise ValueError(f"malformed generator option {item!r}; expected key=value")
-        key, value = item.split("=", 1)
-        options[key.strip()] = value.strip()
+    options = _generator_options(spec)
     for key, value in overrides.items():
         options[str(key)] = str(value)
     canonical = ("n", "seed", "bw", "types", "trace")

@@ -24,6 +24,10 @@ from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_positive
 
 
+#: Trace families :func:`make_trace` builds.
+TRACE_KINDS = ("constant", "wifi", "dynamic")
+
+
 class BandwidthTrace:
     """Interface: instantaneous throughput (Mbps) as a function of time (s)."""
 
@@ -188,7 +192,14 @@ def make_trace(
             seed=seed,
             **kwargs,
         )
-    raise ValueError(f"unknown trace kind {kind!r}; expected constant|wifi|dynamic")
+    raise ValueError(f"unknown trace kind {kind!r}; expected {'|'.join(TRACE_KINDS)}")
 
 
-__all__ = ["BandwidthTrace", "ConstantTrace", "WiFiTrace", "DynamicTrace", "make_trace"]
+__all__ = [
+    "BandwidthTrace",
+    "ConstantTrace",
+    "WiFiTrace",
+    "DynamicTrace",
+    "TRACE_KINDS",
+    "make_trace",
+]

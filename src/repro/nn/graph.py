@@ -430,8 +430,7 @@ def cached_partition(model: ModelSpec, boundaries: Sequence[int]) -> List[LayerV
     structurally identical (and frozen, hence shareable)
     :class:`LayerVolume` objects — but it is rebuilt for every
     :class:`~repro.runtime.plan.DistributionPlan`, which at 32+ devices is a
-    large share of plan-deserialisation cost in sharded workers and of
-    per-episode plan construction in OSDS.  This memo shares the volume
+    large share of per-episode plan construction in OSDS.  This memo shares the volume
     objects and re-runs validation only on the first sighting of a
     boundaries tuple; the returned list is a fresh copy, so callers may
     mutate the *list* freely.

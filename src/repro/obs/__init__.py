@@ -26,8 +26,8 @@ opt-in and all zero-cost when off:
   the autoscaler (``trigger="burn_rate"``) and degradation planning.
 * :mod:`repro.obs.profile` — wall-clock section timers and hit counters
   around the hot paths (``evaluate_plans``, the ``(batch, devices)``
-  sweep, shard dispatch/merge, array-engine epochs and speculation
-  rollbacks, memo and cache hit/miss).  Profiling measures *this
+  sweep, array-engine epochs and speculation rollbacks, memo and cache
+  hit/miss).  Profiling measures *this
   machine's* wall time and is explicitly **excluded** from parity.
 
 The span taxonomy, metrics catalogue and Perfetto how-to live in

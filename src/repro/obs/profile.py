@@ -5,8 +5,8 @@ the parity contract — a :class:`Profiler` measures **this machine's wall
 time** with ``perf_counter`` and is explicitly *excluded* from parity:
 two bit-identical runs will profile differently, and that is fine.  What
 the profiler answers is *where the wall time of a run went*: plan
-evaluation, the ``(batch, devices)`` sweep, shard dispatch/merge,
-array-engine epochs, speculation rollbacks, memo and cache hit rates.
+evaluation, the ``(batch, devices)`` sweep, array-engine epochs,
+speculation rollbacks, memo and cache hit rates.
 
 Hot-path integration contract: instrumented objects hold a ``profiler``
 attribute defaulting to :data:`NULL_PROFILER`, and guard any non-trivial

@@ -17,9 +17,6 @@ all traffic flows through a WiFi router.
 * :mod:`repro.runtime.batch` — the batched evaluation engine: vectorised
   scheduling of many plans at once plus the LRU evaluation cache every
   planner routes through.
-* :mod:`repro.runtime.shard` — the sharded evaluation engine: plan batches
-  partitioned across a persistent worker-process pool, each worker running
-  its own batch engine, merged bit-identically to the in-process path.
 * :mod:`repro.runtime.streaming` — the image-stream simulator producing the
   paper's IPS metric and per-image latency series over a bandwidth trace.
 """
@@ -34,7 +31,6 @@ from repro.runtime.lanes import Lane, LaneSet
 from repro.runtime.evaluator import EvaluationResult, PlanEvaluator, VolumeTiming
 from repro.runtime.batch import BatchPlanEvaluator, network_state_signature, plan_signature
 from repro.runtime.oracles import MemoizedComputeOracle
-from repro.runtime.shard import OracleSpec, ShardedPlanEvaluator
 from repro.runtime.streaming import StreamingResult, StreamingSimulator
 
 __all__ = [
@@ -46,8 +42,6 @@ __all__ = [
     "LaneSet",
     "PlanEvaluator",
     "BatchPlanEvaluator",
-    "ShardedPlanEvaluator",
-    "OracleSpec",
     "MemoizedComputeOracle",
     "network_state_signature",
     "plan_signature",

@@ -199,12 +199,6 @@ class BatchPlanEvaluator(PlanEvaluator):
         """Hit/miss counters of the full-plan LRU cache."""
         return self._plan_cache.info()
 
-    def clear_cache(self) -> None:
-        """Drop all cached evaluations (plan-level and per-part)."""
-        self._plan_cache.clear()
-        if isinstance(self.oracle, MemoizedComputeOracle):
-            self.oracle.clear()
-
     def _model_token(self, model: ModelSpec) -> int:
         key = id(model)
         token = self._model_tokens.get(key)

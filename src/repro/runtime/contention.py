@@ -542,25 +542,6 @@ class SharedFleetState:
         )
 
 
-def _scalar_base(evaluator) -> PlanEvaluator:
-    """Resolve an evaluator that can drive the scalar walk.
-
-    Accepts any :class:`PlanEvaluator` (incl. the batch engine) directly; a
-    :class:`~repro.runtime.shard.ShardedPlanEvaluator` contributes its
-    in-process ``local`` engine — contended scheduling is inherently
-    sequential, so the pool itself is never consulted.
-    """
-    if isinstance(evaluator, PlanEvaluator):
-        return evaluator
-    local = getattr(evaluator, "local", None)
-    if isinstance(local, PlanEvaluator):
-        return local
-    raise TypeError(
-        "contention-aware evaluation needs a PlanEvaluator (or a sharded "
-        f"evaluator exposing one as .local); got {type(evaluator).__name__}"
-    )
-
-
 class ContentionAwareEvaluator:
     """Schedules plans against a :class:`SharedFleetState`.
 
@@ -568,7 +549,8 @@ class ContentionAwareEvaluator:
     ----------
     evaluator:
         The cluster-bound evaluator whose devices/network/oracle define the
-        world (scalar, batch or sharded — see :func:`_scalar_base`).
+        world (scalar or batch; contended scheduling is inherently
+        sequential, so it always runs the scalar walk).
     fleet:
         Shared lane state; a fresh one is created when omitted.
     max_inflight:
@@ -590,30 +572,34 @@ class ContentionAwareEvaluator:
 
     def __init__(
         self,
-        evaluator,
+        evaluator: PlanEvaluator,
         fleet: Optional[SharedFleetState] = None,
         max_inflight: Optional[int] = None,
         memoize: bool = True,
         cache_size: int = 4096,
         memo: Optional[LRUCache] = None,
     ) -> None:
-        base = _scalar_base(evaluator)
+        if not isinstance(evaluator, PlanEvaluator):
+            raise TypeError(
+                "contention-aware evaluation needs a PlanEvaluator; "
+                f"got {type(evaluator).__name__}"
+            )
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1 (or None), got {max_inflight}")
-        self.devices = base.devices
-        self.network = base.network
-        self.fleet = fleet or SharedFleetState(len(base.devices))
-        if self.fleet.num_devices != len(base.devices):
+        self.devices = evaluator.devices
+        self.network = evaluator.network
+        self.fleet = fleet or SharedFleetState(len(evaluator.devices))
+        if self.fleet.num_devices != len(evaluator.devices):
             raise ValueError(
                 f"fleet covers {self.fleet.num_devices} devices, evaluator has "
-                f"{len(base.devices)}"
+                f"{len(evaluator.devices)}"
             )
         self.max_inflight = max_inflight
         self._walk = _ContendedWalk(
-            base.devices,
-            base.network,
-            compute_oracle=base.oracle,
-            input_bytes_per_element=base.input_bytes_per_element,
+            evaluator.devices,
+            evaluator.network,
+            compute_oracle=evaluator.oracle,
+            input_bytes_per_element=evaluator.input_bytes_per_element,
         )
         if memo is not None:
             self._memo: Optional[LRUCache] = memo

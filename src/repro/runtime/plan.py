@@ -117,8 +117,8 @@ class DistributionPlan:
         self.decisions = list(decisions)
         self.method = method
 
-        # Memoized: plans sharing (model, boundaries) — every OSDS episode,
-        # every sharded worker's deserialised shard — share volume objects.
+        # Memoized: plans sharing (model, boundaries), such as every OSDS
+        # episode on one partition, share volume objects.
         self._volumes = cached_partition(model, self.boundaries)
         if len(self._volumes) != len(self.decisions):
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Serialisation of distribution plans, scenarios and evaluation results.
+"""Serialisation of distribution plans and evaluation results.
 
 A deployment workflow needs to move plans between machines: the controller
 computes a strategy once, stores it, and the requester/providers load it at
@@ -11,30 +11,19 @@ The model itself is not embedded — plans reference the model by name and are
 re-validated against a freshly built :class:`~repro.nn.graph.ModelSpec` on
 load, so a stale plan for a different architecture fails loudly instead of
 silently mis-splitting.
-
-The same codecs move work between the processes of a
-:class:`~repro.runtime.shard.ShardedPlanEvaluator`: scenarios cross the
-process boundary as :func:`scenario_to_dict` payloads (each worker rebuilds
-its own devices, traces and oracle from the spec) and results come back as
-:func:`evaluation_to_payload` dicts, which — unlike the compact
-:func:`evaluation_to_dict` log form — round-trip every field of an
-:class:`~repro.runtime.evaluator.EvaluationResult` exactly, so the merged
-sharded results are bit-identical to a single-process evaluation.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, Optional, Union
 
 from repro.devices.specs import DeviceInstance, get_device_type
 from repro.nn import model_zoo
-from repro.nn.graph import ModelSpec, cached_partition
+from repro.nn.graph import ModelSpec
 from repro.nn.splitting import SplitDecision
-from repro.runtime.evaluator import EvaluationResult, VolumeTiming
+from repro.runtime.evaluator import EvaluationResult
 from repro.runtime.plan import DistributionPlan
 
 #: Format version written into every serialised plan.
@@ -64,22 +53,13 @@ def plan_to_dict(plan: DistributionPlan) -> Dict:
     }
 
 
-def plan_from_dict(
-    data: Dict,
-    model: Optional[ModelSpec] = None,
-    devices: Optional[Sequence[DeviceInstance]] = None,
-) -> DistributionPlan:
+def plan_from_dict(data: Dict, model: Optional[ModelSpec] = None) -> DistributionPlan:
     """Reconstruct a plan from :func:`plan_to_dict` output.
 
     ``model`` may be supplied explicitly (e.g. a custom architecture);
     otherwise the model is rebuilt from the zoo by name.  Validation inside
     :class:`DistributionPlan` re-checks boundaries and split heights against
     the model, so loading a plan against the wrong architecture raises.
-
-    ``devices`` lets a caller that already holds the cluster (a sharded
-    evaluator's worker, a batch loader) reuse its instances instead of
-    rebuilding one list per plan; the serialised entries are checked against
-    it so a plan for a different cluster still fails loudly.
     """
     version = data.get("format_version")
     if version != PLAN_FORMAT_VERSION:
@@ -92,29 +72,14 @@ def plan_from_dict(
         raise ValueError(
             f"plan was produced for model {data['model']!r}, got {model.name!r}"
         )
-    if devices is not None:
-        devices = list(devices)
-        if len(devices) != len(data["devices"]):
-            raise ValueError(
-                f"plan covers {len(data['devices'])} devices, caller supplied {len(devices)}"
-            )
-        for device, entry in zip(devices, data["devices"]):
-            if (
-                device.type_name != get_device_type(entry["type"]).name
-                or device.bandwidth_mbps != float(entry["bandwidth_mbps"])
-            ):
-                raise ValueError(
-                    f"supplied device {device} does not match serialised entry {entry!r}"
-                )
-    else:
-        devices = [
-            DeviceInstance(
-                device_id=entry["device_id"],
-                dtype=get_device_type(entry["type"]),
-                bandwidth_mbps=float(entry["bandwidth_mbps"]),
-            )
-            for entry in data["devices"]
-        ]
+    devices = [
+        DeviceInstance(
+            device_id=entry["device_id"],
+            dtype=get_device_type(entry["type"]),
+            bandwidth_mbps=float(entry["bandwidth_mbps"]),
+        )
+        for entry in data["devices"]
+    ]
     decisions = [
         SplitDecision(cuts=tuple(entry["cuts"]), output_height=int(entry["output_height"]))
         for entry in data["decisions"]
@@ -129,119 +94,6 @@ def plan_from_dict(
     )
 
 
-def plan_batch_to_payload(plans: Sequence[DistributionPlan]) -> Dict:
-    """Compact batch form of many plans sharing one device cluster.
-
-    :func:`plan_to_dict` repeats the device list and the partition scheme in
-    every plan, which at 32+ devices makes the per-plan IPC payload of a
-    sharded evaluator mostly redundant bytes.  The batch payload factors the
-    cluster out once and groups plans by ``(model, boundaries)``, leaving
-    each plan as just its cut points, head placement and method label.
-    Plans are restored in input order by :func:`plan_batch_from_payload`.
-    """
-    if not plans:
-        return {"format_version": PLAN_FORMAT_VERSION, "devices": [], "groups": []}
-    reference = plans[0]
-    groups: Dict = {}
-    for index, plan in enumerate(plans):
-        if plan.devices != reference.devices:
-            raise ValueError(
-                "plan batch payloads factor the cluster out once; plan "
-                f"{index} targets different devices than plan 0"
-            )
-        key = (plan.model.name, tuple(plan.boundaries))
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = {
-                "model": plan.model.name,
-                "boundaries": list(plan.boundaries),
-                "indices": [],
-                "plans": [],
-            }
-        group["indices"].append(index)
-        group["plans"].append(
-            {
-                "cuts": [list(d.cuts) for d in plan.decisions],
-                "head_device": plan.head_device,
-                "method": plan.method,
-            }
-        )
-    return {
-        "format_version": PLAN_FORMAT_VERSION,
-        "devices": plan_to_dict(reference)["devices"],
-        "groups": list(groups.values()),
-    }
-
-
-def plan_batch_from_payload(
-    payload: Dict,
-    model_resolver=None,
-    devices: Optional[Sequence[DeviceInstance]] = None,
-) -> List[DistributionPlan]:
-    """Rebuild the plans of :func:`plan_batch_to_payload`, in input order.
-
-    ``model_resolver`` maps a model name to a :class:`ModelSpec` (default:
-    the zoo); ``devices`` supplies an already-built cluster, validated once
-    against the payload instead of once per plan.  Per-volume split heights
-    come from the (memoized) partition of each group's model, so a worker
-    deserialising a shard pays the splitting arithmetic once per
-    ``(model, boundaries)`` group rather than once per plan.
-    """
-    version = payload.get("format_version")
-    if version != PLAN_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported plan format version {version!r}; expected {PLAN_FORMAT_VERSION}"
-        )
-    if model_resolver is None:
-        model_resolver = model_zoo.get
-    if devices is not None:
-        devices = list(devices)
-        if len(devices) != len(payload["devices"]):
-            raise ValueError(
-                f"batch covers {len(payload['devices'])} devices, caller supplied "
-                f"{len(devices)}"
-            )
-        for device, entry in zip(devices, payload["devices"]):
-            if (
-                device.type_name != get_device_type(entry["type"]).name
-                or device.bandwidth_mbps != float(entry["bandwidth_mbps"])
-            ):
-                raise ValueError(
-                    f"supplied device {device} does not match serialised entry {entry!r}"
-                )
-    else:
-        devices = [
-            DeviceInstance(
-                device_id=entry["device_id"],
-                dtype=get_device_type(entry["type"]),
-                bandwidth_mbps=float(entry["bandwidth_mbps"]),
-            )
-            for entry in payload["devices"]
-        ]
-    total = sum(len(group["indices"]) for group in payload["groups"])
-    plans: List[Optional[DistributionPlan]] = [None] * total
-    for group in payload["groups"]:
-        model = model_resolver(group["model"])
-        boundaries = [int(b) for b in group["boundaries"]]
-        volumes = cached_partition(model, boundaries)
-        for index, entry in zip(group["indices"], group["plans"]):
-            decisions = [
-                SplitDecision(cuts=tuple(cuts), output_height=volume.output_height)
-                for cuts, volume in zip(entry["cuts"], volumes)
-            ]
-            plans[index] = DistributionPlan(
-                model=model,
-                devices=devices,
-                boundaries=boundaries,
-                decisions=decisions,
-                head_device=int(entry["head_device"]),
-                method=str(entry["method"]),
-            )
-    if any(plan is None for plan in plans):
-        raise ValueError("batch payload indices do not cover the batch densely")
-    return plans  # type: ignore[return-value]
-
-
 def save_plan(plan: DistributionPlan, path: Union[str, Path]) -> Path:
     """Write a plan to a JSON file; returns the path written."""
     path = Path(path)
@@ -253,89 +105,6 @@ def load_plan(path: Union[str, Path], model: Optional[ModelSpec] = None) -> Dist
     """Load a plan previously written by :func:`save_plan`."""
     data = json.loads(Path(path).read_text())
     return plan_from_dict(data, model=model)
-
-
-def scenario_to_dict(scenario) -> Dict:
-    """Convert a :class:`~repro.experiments.scenarios.Scenario` to a plain dict.
-
-    The dict is the unit a :class:`~repro.runtime.shard.ShardedPlanEvaluator`
-    ships to its worker processes: each worker rebuilds the identical fleet
-    and (seeded) traces from it, so nothing stateful crosses the boundary.
-    """
-    return {
-        "name": scenario.name,
-        "device_specs": [[t, float(b)] for t, b in scenario.device_specs],
-        "description": scenario.description,
-        "trace_kind": scenario.trace_kind,
-    }
-
-
-def scenario_from_dict(data: Dict):
-    """Rebuild a :class:`~repro.experiments.scenarios.Scenario` from its dict."""
-    from repro.experiments.scenarios import Scenario
-
-    return Scenario(
-        name=str(data["name"]),
-        device_specs=tuple((str(t), float(b)) for t, b in data["device_specs"]),
-        description=str(data.get("description", "")),
-        trace_kind=str(data.get("trace_kind", "constant")),
-    )
-
-
-def evaluation_to_payload(result: EvaluationResult) -> Dict:
-    """Full-fidelity dict form of an :class:`EvaluationResult`.
-
-    Unlike :func:`evaluation_to_dict` (a compact summary for logs), the
-    payload keeps every field — including per-volume timings — as plain
-    lists/floats, and :func:`evaluation_from_payload` reconstructs an equal
-    result bit for bit (float64 survives the list round-trip exactly).
-    """
-    return {
-        "end_to_end_ms": result.end_to_end_ms,
-        "scatter_end_ms": result.scatter_end_ms,
-        "head_device": result.head_device,
-        "head_compute_ms": result.head_compute_ms,
-        "method": result.method,
-        "per_device_compute_ms": result.per_device_compute_ms.tolist(),
-        "per_device_send_ms": result.per_device_send_ms.tolist(),
-        "per_device_recv_ms": result.per_device_recv_ms.tolist(),
-        "volume_timings": [
-            {
-                "volume_index": vt.volume_index,
-                "ready_ms": vt.ready_ms.tolist(),
-                "finish_ms": vt.finish_ms.tolist(),
-                "compute_ms": vt.compute_ms.tolist(),
-                "recv_bytes": vt.recv_bytes.tolist(),
-            }
-            for vt in result.volume_timings
-        ],
-    }
-
-
-def evaluation_from_payload(data: Dict) -> EvaluationResult:
-    """Reconstruct an :class:`EvaluationResult` from :func:`evaluation_to_payload`."""
-    timings: List[VolumeTiming] = [
-        VolumeTiming(
-            volume_index=int(vt["volume_index"]),
-            ready_ms=np.asarray(vt["ready_ms"], dtype=np.float64),
-            finish_ms=np.asarray(vt["finish_ms"], dtype=np.float64),
-            compute_ms=np.asarray(vt["compute_ms"], dtype=np.float64),
-            recv_bytes=np.asarray(vt["recv_bytes"], dtype=np.float64),
-        )
-        for vt in data["volume_timings"]
-    ]
-    head_device = data["head_device"]
-    return EvaluationResult(
-        end_to_end_ms=float(data["end_to_end_ms"]),
-        volume_timings=timings,
-        per_device_compute_ms=np.asarray(data["per_device_compute_ms"], dtype=np.float64),
-        per_device_send_ms=np.asarray(data["per_device_send_ms"], dtype=np.float64),
-        per_device_recv_ms=np.asarray(data["per_device_recv_ms"], dtype=np.float64),
-        scatter_end_ms=float(data["scatter_end_ms"]),
-        head_device=None if head_device is None else int(head_device),
-        head_compute_ms=float(data["head_compute_ms"]),
-        method=str(data["method"]),
-    )
 
 
 def evaluation_to_dict(result: EvaluationResult) -> Dict:
@@ -358,13 +127,7 @@ __all__ = [
     "PLAN_FORMAT_VERSION",
     "plan_to_dict",
     "plan_from_dict",
-    "plan_batch_to_payload",
-    "plan_batch_from_payload",
     "save_plan",
     "load_plan",
-    "scenario_to_dict",
-    "scenario_from_dict",
     "evaluation_to_dict",
-    "evaluation_to_payload",
-    "evaluation_from_payload",
 ]

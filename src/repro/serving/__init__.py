@@ -15,8 +15,7 @@ cluster.  This package adds the traffic-facing layer the ROADMAP's
   (:mod:`repro.runtime.contention`).
 * :mod:`repro.serving.simulator` — the serving event loop: epoch-batched
   ``(requests, devices)`` sweeps through
-  :class:`~repro.runtime.batch.BatchPlanEvaluator` /
-  :class:`~repro.runtime.shard.ShardedPlanEvaluator`, bit-identical to a
+  :class:`~repro.runtime.batch.BatchPlanEvaluator`, bit-identical to a
   naive per-request reference loop (asserted by :func:`run_with_parity`),
   reporting throughput, latency percentiles, deadline-miss rates and
   queue-depth series per tenant.

@@ -502,8 +502,7 @@ class ArrayServingEngine:
     """Drives tenants through the vectorised time-wheel.
 
     Constructed on the same batch-capable evaluator as the simulator
-    (:class:`~repro.runtime.batch.BatchPlanEvaluator` or a
-    :class:`~repro.runtime.shard.ShardedPlanEvaluator` pool).  Use it via
+    (:class:`~repro.runtime.batch.BatchPlanEvaluator`).  Use it via
     ``ServingSimulator.run(..., engine="array")`` — the simulator performs
     the argument validation and wraps the outcome in a
     :class:`~repro.serving.simulator.ServingReport`.

@@ -28,10 +28,6 @@ Tenant chains are independent (each tenant owns one service slot, see
 :mod:`repro.serving.tenants`), which is what lets an epoch advance all of
 them in lockstep without reordering any tenant's own sequential decisions.
 
-Pass a :class:`~repro.runtime.shard.ShardedPlanEvaluator` as the evaluator to
-fan epoch batches out to its persistent worker pool (small epochs stay
-in-process automatically via its ``min_shard_size`` rule).
-
 ``run(..., engine="array")`` swaps the per-request Python bookkeeping for
 the array-native column time-wheel of :mod:`repro.serving.engine` — same
 report bit for bit (that *is* its contract, asserted by
@@ -328,8 +324,7 @@ class ServingSimulator:
     evaluator:
         The evaluator bound to the shared cluster.  ``mode="batched"``
         requires an ``evaluate_plans`` batch API
-        (:class:`~repro.runtime.batch.BatchPlanEvaluator` or
-        :class:`~repro.runtime.shard.ShardedPlanEvaluator`); the reference
+        (:class:`~repro.runtime.batch.BatchPlanEvaluator`); the reference
         mode accepts any :class:`~repro.runtime.evaluator.PlanEvaluator`.
     """
 
@@ -361,7 +356,7 @@ class ServingSimulator:
         if engine == "array" and policy is None and not hasattr(self.evaluator, "evaluate_plans"):
             raise TypeError(
                 "the array engine needs an evaluator with evaluate_plans "
-                "(BatchPlanEvaluator / ShardedPlanEvaluator); "
+                "(BatchPlanEvaluator); "
                 f"got {type(self.evaluator).__name__}"
             )
         if policy is None and mode == "batched" and not hasattr(self.evaluator, "evaluate_plans"):
@@ -370,7 +365,7 @@ class ServingSimulator:
             # so the batch API is only required for independent batched runs.
             raise TypeError(
                 "batched serving needs an evaluator with evaluate_plans "
-                "(BatchPlanEvaluator / ShardedPlanEvaluator); "
+                "(BatchPlanEvaluator); "
                 f"got {type(self.evaluator).__name__} — use mode='reference' for it"
             )
         if not tenants:

@@ -22,7 +22,7 @@ name fleets.
 Determinism contract: :meth:`ArrivalProcess.arrival_times` is a pure function
 of ``(spec fields, duration_s, start_s)`` — every call rebuilds its generator
 from the stored seed, so the batched and the reference serving loops (and any
-worker process) observe the *identical* arrival sequence.
+repeated run) observe the *identical* arrival sequence.
 
 Where this sits in the stack is drawn in ``docs/architecture.md``.
 """

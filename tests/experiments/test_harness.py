@@ -71,64 +71,6 @@ class TestHarness:
         result = harness.run("aofl", small_scenario, model_name="small_vgg")
         assert result.ips > 0
 
-    def test_workers_knob_shards_compare_batches(self, small_scenario):
-        """workers >= 2 evaluates compare()'s plans as one batch through a
-        sharded pool per scenario, with numbers identical to the in-process
-        path."""
-        from repro.runtime.shard import ShardedPlanEvaluator
-
-        # All eight methods: an 8-plan batch clears the sharded evaluator's
-        # default per-worker minimum (4), so shards genuinely dispatch to
-        # worker processes and the serialization round-trip is exercised.
-        methods = list(ALL_METHODS)
-        inline = ExperimentHarness(HarnessConfig(osds_episodes=5, num_random_splits=5))
-        results_inline = inline.compare(small_scenario, methods, model_name="small_vgg")
-        with ExperimentHarness(
-            HarnessConfig(osds_episodes=5, num_random_splits=5, workers=2)
-        ) as sharded:
-            results_sharded = sharded.compare(small_scenario, methods, model_name="small_vgg")
-            # The scenario's pool was created, actually started, and is
-            # reused across calls.
-            assert isinstance(sharded._sharded[small_scenario], ShardedPlanEvaluator)
-            assert sharded._sharded[small_scenario]._executor is not None
-            evaluator = sharded.evaluator_for(*small_scenario.build(), small_scenario)
-            assert evaluator is sharded._sharded[small_scenario]
-            for method in methods:
-                assert results_sharded[method].ips == results_inline[method].ips
-                assert results_sharded[method].latency_ms == results_inline[method].latency_ms
-            # Results are cached: a repeat compare plans nothing new.
-            again = sharded.compare(small_scenario, methods, model_name="small_vgg")
-            assert all(again[m] is results_sharded[m] for m in methods)
-        assert sharded._sharded == {}  # close() tore the pools down
-
-    def test_sharded_pool_cache_distinguishes_same_named_scenarios(self):
-        """Two different scenarios sharing a name must not share a pool."""
-        a = Scenario("twin", (("nano", 100), ("nano", 100)), "two nanos")
-        b = Scenario("twin", (("nano", 100), ("nano", 100), ("nano", 100)), "three nanos")
-        with ExperimentHarness(
-            HarnessConfig(osds_episodes=5, num_random_splits=5, workers=2)
-        ) as harness:
-            eval_a = harness.evaluator_for(*a.build(), a)
-            eval_b = harness.evaluator_for(*b.build(), b)
-            assert eval_a is not eval_b
-            assert len(eval_a.devices) == 2
-            assert len(eval_b.devices) == 3
-
-    def test_sharded_pool_count_is_bounded(self):
-        """Visiting many scenarios must not pin unbounded worker pools."""
-        from repro.experiments.scenarios import generate_scenario
-
-        with ExperimentHarness(
-            HarnessConfig(osds_episodes=5, num_random_splits=5, workers=2)
-        ) as harness:
-            scenarios = [generate_scenario(2, seed=s, bandwidth_mbps=100.0) for s in range(6)]
-            for scenario in scenarios:
-                harness.evaluator_for(*scenario.build(), scenario)
-            assert len(harness._sharded) == ExperimentHarness.MAX_SHARDED_POOLS
-            # The most recently used scenarios survive, oldest were evicted.
-            assert scenarios[-1] in harness._sharded
-            assert scenarios[0] not in harness._sharded
-
     def test_result_cache_distinguishes_same_named_scenarios(self, harness):
         """Cached MethodResults are keyed on the scenario itself, so a
         same-named but different fleet never returns the other's numbers."""

@@ -144,6 +144,10 @@ class TestGenerator:
             generate_scenario(4, bandwidth_mbps=(300.0, 50.0))
         with pytest.raises(ValueError, match="positive"):
             generate_scenario(4, bandwidth_mbps=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            generate_scenario(4, bandwidth_mbps=float("inf"))
+        with pytest.raises(ValueError, match="unknown trace kind"):
+            generate_scenario(4, trace_kind="bogus")
 
 
 class TestGeneratorSpecGrammar:
@@ -167,6 +171,18 @@ class TestGeneratorSpecGrammar:
             parse_generator_spec("gen:bw=50-")
         with pytest.raises(ValueError, match="must start with"):
             parse_generator_spec("n=4")
+        with pytest.raises(ValueError, match="finite"):
+            parse_generator_spec("gen:n=4,bw=nan-10")
+        with pytest.raises(ValueError, match="finite"):
+            parse_generator_spec("gen:n=4,bw=inf")
+        with pytest.raises(ValueError, match="more than once"):
+            parse_generator_spec("gen:n=4,n=5")
+
+    def test_unknown_trace_kind_rejected(self):
+        """Regression: the trace kind is checked when the spec is parsed,
+        not later when the scenario builds its traces."""
+        with pytest.raises(ValueError, match="unknown trace kind 'bogus'"):
+            parse_generator_spec("gen:n=4,trace=bogus")
 
     def test_resolve_scenario_both_forms(self):
         assert resolve_scenario("DB").name == "DB"

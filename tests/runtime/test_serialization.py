@@ -12,15 +12,11 @@ from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.plan import DistributionPlan
 from repro.runtime.serialization import (
     PLAN_FORMAT_VERSION,
-    evaluation_from_payload,
     evaluation_to_dict,
-    evaluation_to_payload,
     load_plan,
     plan_from_dict,
     plan_to_dict,
     save_plan,
-    scenario_from_dict,
-    scenario_to_dict,
 )
 from repro.network.topology import NetworkModel
 
@@ -92,45 +88,6 @@ class TestPlanSerialization:
         assert PLAN_FORMAT_VERSION == 1
 
 
-class TestDevicesOverride:
-    def test_matching_devices_reused(self, plan, hetero_cluster):
-        data = plan_to_dict(plan)
-        restored = plan_from_dict(data, model=plan.model, devices=hetero_cluster)
-        assert restored.devices[0] is hetero_cluster[0]
-
-    def test_wrong_count_rejected(self, plan, hetero_cluster):
-        data = plan_to_dict(plan)
-        with pytest.raises(ValueError, match="devices"):
-            plan_from_dict(data, model=plan.model, devices=hetero_cluster[:-1])
-
-    def test_wrong_bandwidth_rejected(self, plan, hetero_cluster):
-        data = plan_to_dict(plan)
-        data["devices"][0]["bandwidth_mbps"] = 1.0
-        with pytest.raises(ValueError, match="does not match"):
-            plan_from_dict(data, model=plan.model, devices=hetero_cluster)
-
-
-class TestScenarioSerialization:
-    def test_roundtrip(self):
-        from repro.experiments.scenarios import generate_scenario
-
-        scenario = generate_scenario(8, seed=4, trace_kind="dynamic")
-        restored = scenario_from_dict(scenario_to_dict(scenario))
-        assert restored == scenario
-        json.dumps(scenario_to_dict(scenario))
-
-    def test_roundtripped_scenario_builds_identical_network(self):
-        from repro.experiments.scenarios import ScenarioCatalog
-
-        scenario = ScenarioCatalog.dynamic_nano()
-        restored = scenario_from_dict(scenario_to_dict(scenario))
-        _, net_a = scenario.build(seed=5)
-        _, net_b = restored.build(seed=5)
-        for link_a, link_b in zip(net_a.provider_links, net_b.provider_links):
-            for t in (0.0, 12.5, 99.0):
-                assert link_a.throughput_mbps(t) == link_b.throughput_mbps(t)
-
-
 class TestEvaluationSerialization:
     def test_evaluation_to_dict_fields(self, plan, hetero_cluster):
         network = NetworkModel.constant_from_devices(hetero_cluster)
@@ -139,127 +96,3 @@ class TestEvaluationSerialization:
         assert summary["ips"] == pytest.approx(result.ips)
         assert len(summary["per_device_compute_ms"]) == len(hetero_cluster)
         json.dumps(summary)  # must be JSON-serialisable
-
-    def test_payload_roundtrip_is_bit_exact(self, plan, hetero_cluster):
-        import numpy as np
-
-        network = NetworkModel.constant_from_devices(hetero_cluster)
-        result = PlanEvaluator(hetero_cluster, network).evaluate(plan)
-        restored = evaluation_from_payload(evaluation_to_payload(result))
-        assert restored.end_to_end_ms == result.end_to_end_ms
-        assert restored.scatter_end_ms == result.scatter_end_ms
-        assert restored.head_device == result.head_device
-        assert restored.head_compute_ms == result.head_compute_ms
-        assert restored.method == result.method
-        assert np.array_equal(restored.per_device_compute_ms, result.per_device_compute_ms)
-        assert np.array_equal(restored.per_device_send_ms, result.per_device_send_ms)
-        assert np.array_equal(restored.per_device_recv_ms, result.per_device_recv_ms)
-        for vt_r, vt in zip(restored.volume_timings, result.volume_timings):
-            assert vt_r.volume_index == vt.volume_index
-            assert np.array_equal(vt_r.ready_ms, vt.ready_ms)
-            assert np.array_equal(vt_r.finish_ms, vt.finish_ms)
-            assert np.array_equal(vt_r.compute_ms, vt.compute_ms)
-            assert np.array_equal(vt_r.recv_bytes, vt.recv_bytes)
-
-    def test_payload_survives_json(self, plan, hetero_cluster):
-        """repr round-trip of float64 through json keeps every bit."""
-        network = NetworkModel.constant_from_devices(hetero_cluster)
-        result = PlanEvaluator(hetero_cluster, network).evaluate(plan)
-        payload = json.loads(json.dumps(evaluation_to_payload(result)))
-        assert evaluation_from_payload(payload).end_to_end_ms == result.end_to_end_ms
-
-
-class TestPlanBatchPayload:
-    """Compact shard payloads: cluster/partition factored out per group."""
-
-    def _varied_plans(self, cluster):
-        from repro.experiments.workloads import random_varied_plans
-
-        model = model_zoo.small_vgg(64)
-        return random_varied_plans(model, cluster, 12, seed=3, min_cut_layer=2)
-
-    def test_roundtrip_preserves_order_and_strategy(self, hetero_cluster):
-        from repro.runtime.serialization import (
-            plan_batch_from_payload,
-            plan_batch_to_payload,
-        )
-
-        plans = self._varied_plans(hetero_cluster)
-        payload = plan_batch_to_payload(plans)
-        restored = plan_batch_from_payload(payload)
-        assert len(restored) == len(plans)
-        for original, rebuilt in zip(plans, restored):
-            assert rebuilt.model.name == original.model.name
-            assert rebuilt.boundaries == original.boundaries
-            assert rebuilt.head_device == original.head_device
-            assert rebuilt.method == original.method
-            assert [d.cuts for d in rebuilt.decisions] == [
-                d.cuts for d in original.decisions
-            ]
-
-    def test_groups_are_compact(self, hetero_cluster):
-        from repro.runtime.serialization import plan_batch_to_payload
-
-        plans = self._varied_plans(hetero_cluster)
-        payload = plan_batch_to_payload(plans)
-        # The cluster appears once, not once per plan.
-        assert len(payload["devices"]) == len(hetero_cluster)
-        boundaries = {tuple(p.boundaries) for p in plans}
-        assert len(payload["groups"]) == len(boundaries)
-
-    def test_supplied_devices_reused_and_validated_once(self, hetero_cluster):
-        from repro.runtime.serialization import (
-            plan_batch_from_payload,
-            plan_batch_to_payload,
-        )
-
-        plans = self._varied_plans(hetero_cluster)
-        payload = plan_batch_to_payload(plans)
-        restored = plan_batch_from_payload(payload, devices=hetero_cluster)
-        assert all(p.devices == list(hetero_cluster) for p in restored)
-        with pytest.raises(ValueError):
-            plan_batch_from_payload(payload, devices=hetero_cluster[:-1])
-
-    def test_group_members_share_volume_objects(self, hetero_cluster):
-        from repro.runtime.serialization import (
-            plan_batch_from_payload,
-            plan_batch_to_payload,
-        )
-
-        model = model_zoo.small_vgg(64)
-        boundaries = [0, 4, 8, model.num_spatial_layers]
-        volumes = model.partition(boundaries)
-        plans = [
-            DistributionPlan(
-                model,
-                hetero_cluster,
-                boundaries,
-                [SplitDecision.from_fractions([i + 1, 3, 2, 1], v.output_height) for v in volumes],
-            )
-            for i in range(3)
-        ]
-        restored = plan_batch_from_payload(plan_batch_to_payload(plans))
-        # The boundaries->volumes memo hands every plan of a group the same
-        # frozen volume objects: the splitting arithmetic ran once.
-        first = restored[0].volumes
-        for other in restored[1:]:
-            assert all(a is b for a, b in zip(first, other.volumes))
-
-    def test_mixed_clusters_rejected(self, hetero_cluster, mixed_cluster):
-        from repro.runtime.serialization import plan_batch_to_payload
-
-        model = model_zoo.small_vgg(64)
-        plans = [
-            DistributionPlan.single_device(model, hetero_cluster, 0),
-            DistributionPlan.single_device(model, mixed_cluster, 0),
-        ]
-        with pytest.raises(ValueError):
-            plan_batch_to_payload(plans)
-
-    def test_empty_batch(self):
-        from repro.runtime.serialization import (
-            plan_batch_from_payload,
-            plan_batch_to_payload,
-        )
-
-        assert plan_batch_from_payload(plan_batch_to_payload([])) == []

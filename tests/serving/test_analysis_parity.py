@@ -6,8 +6,8 @@ burn-rate monitor, asserts every request's latency tiling telescopes
 bit-exactly to its committed latency, and compares the rendered
 attribution and alert timelines line for line.  These tests drive that
 contract through every parity-suite scenario shape — churn + predictive
-admission, wfq + max_inflight contention, the array engine, and sharded
-worker pools — and then re-run the analyzer on the kept tracer to pin
+admission, wfq + max_inflight contention and the array engine — and then
+re-run the analyzer on the kept tracer to pin
 non-vacuity (real requests, real lanes, real contention).
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.devices.specs import make_cluster
-from repro.experiments.scenarios import generate_scenario
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.obs import Tracer
@@ -26,7 +25,6 @@ from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.faults import RetryPolicy
 from repro.runtime.plan import DistributionPlan
-from repro.runtime.shard import ShardedPlanEvaluator
 from repro.serving import (
     SLO,
     ClusterPolicy,
@@ -138,35 +136,6 @@ class TestAnalysisParity:
         analysis = assert_analysis_nonvacuous(report, tracer)
         # The inflight gate actually throttled someone.
         assert analysis.total("gate") > 0.0
-
-    def test_sharded_worker_pools(self, model):
-        scenario = generate_scenario(4, seed=11, bandwidth_mbps=200.0, heterogeneity="nano")
-        with ShardedPlanEvaluator(scenario, num_workers=2, min_shard_size=1) as sharded:
-            devices, network = sharded.devices, sharded.network
-            tenants = [
-                TenantSpec(
-                    "s0",
-                    DistributionPlan.single_device(model, devices, 0),
-                    traffic=PoissonArrivals(5.0, seed=1),
-                ),
-                TenantSpec(
-                    "s1",
-                    DistributionPlan.single_device(model, devices, 1),
-                    traffic=PoissonArrivals(5.0, seed=2),
-                ),
-            ]
-            tracer = Tracer()
-            report = run_with_parity(
-                sharded,
-                PlanEvaluator(devices, network),
-                tenants,
-                duration_s=6.0,
-                tracer=tracer,
-                compare_analysis=True,
-            )
-            # Uncontended run: the tiling is a single service segment per
-            # request, still required to telescope exactly.
-            assert_analysis_nonvacuous(report, tracer, want_lanes=False)
 
     def test_alert_timeline_is_reproducible_from_the_report(self, model, fleet):
         """The timeline compared inside the parity run is a pure function."""

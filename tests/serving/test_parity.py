@@ -14,13 +14,11 @@ import pytest
 from repro.baselines import CoEdgePlanner
 from repro.core.online import PeriodicReplanController
 from repro.devices.specs import make_cluster
-from repro.experiments.scenarios import generate_scenario
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.plan import DistributionPlan
-from repro.runtime.shard import ShardedPlanEvaluator
 from repro.serving import (
     SLO,
     DiurnalArrivals,
@@ -147,27 +145,6 @@ class TestParity:
         adaptive = report.tenant("adaptive")
         assert adaptive.replan_times_s, "the controller never replanned; test is vacuous"
         assert adaptive.final_method == "coedge"
-
-    def test_sharded_evaluator_parity(self, model):
-        """The epoch loop may hand its batches to a sharded worker pool."""
-        scenario = generate_scenario(4, seed=11, bandwidth_mbps=200.0, heterogeneity="nano")
-        with ShardedPlanEvaluator(scenario, num_workers=2, min_shard_size=1) as sharded:
-            devices, network = sharded.devices, sharded.network
-            tenants = [
-                TenantSpec(
-                    "s0",
-                    DistributionPlan.single_device(model, devices, 0),
-                    traffic=PoissonArrivals(5.0, seed=1),
-                ),
-                TenantSpec(
-                    "s1",
-                    _split_plan(model, devices),
-                    traffic=PoissonArrivals(5.0, seed=2),
-                ),
-            ]
-            run_with_parity(
-                sharded, PlanEvaluator(devices, network), tenants, duration_s=8.0
-            )
 
     def test_parity_rejects_bare_stateful_hooks(self, model):
         devices = make_cluster([("nano", 100), ("nano", 100)])

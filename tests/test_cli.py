@@ -3,10 +3,32 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def test_import_loads_no_process_machinery():
+    """``import repro, repro.cli`` must not pull in process-pool modules."""
+    code = (
+        "import sys, repro, repro.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestParser:
@@ -23,14 +45,10 @@ class TestParser:
     def test_compare_defaults(self):
         args = build_parser().parse_args(["compare"])
         assert args.scenario == "DB"
-        assert args.workers == 1
 
     def test_plan_scenario_flag(self):
-        args = build_parser().parse_args(
-            ["plan", "--scenario", "gen:n=8,seed=3", "--workers", "4"]
-        )
+        args = build_parser().parse_args(["plan", "--scenario", "gen:n=8,seed=3"])
         assert args.scenario == "gen:n=8,seed=3"
-        assert args.workers == 4
         assert args.devices is None
 
     def test_plan_devices_and_scenario_mutually_exclusive(self):
@@ -88,15 +106,11 @@ class TestCommands:
             "--model", "small_vgg",
             "--scenario", "gen:n=4,bw=200,types=nano",
             "--method", "aofl",
-            "--workers", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "gen-4d-nano-bw200-constant-s0" in out
         assert "predicted latency" in out
-        # A single-plan evaluation cannot shard; the CLI says so instead of
-        # silently spinning up (and wasting) a worker pool.
-        assert "no effect on a single-plan evaluation" in out
 
     def test_plan_catalogue_scenario(self, capsys):
         code = main([
@@ -125,6 +139,14 @@ class TestCommands:
         code = main(["plan", "--model", "small_vgg", "--scenario", "gen:bogus=1"])
         assert code == 2
         assert "unknown generator option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["gen:n=4,trace=bogus", "gen:n=4,bw=nan-10"])
+    def test_plan_bad_generator_values_exit_cleanly(self, spec, capsys):
+        """Regression: bad gen: values are rejected when the spec is parsed,
+        not by a traceback once the scenario builds its traces."""
+        code = main(["plan", "--model", "small_vgg", "--scenario", spec, "--method", "coedge"])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_plan_unknown_scenario_message_unwrapped(self, capsys):
         code = main(["plan", "--model", "small_vgg", "--scenario", "ZZ"])
@@ -196,14 +218,6 @@ class TestEvaluateScenario:
         code = main(["evaluate", str(plan_path), "--scenario", "ZZ"])
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
-
-    def test_workers_flag_notes_single_plan(self, tmp_path, capsys):
-        spec = "gen:n=4,bw=200,types=nano"
-        plan_path = self._save_plan(tmp_path, spec)
-        capsys.readouterr()
-        code = main(["evaluate", str(plan_path), "--scenario", spec, "--workers", "4"])
-        assert code == 0
-        assert "no effect on a single-plan evaluation" in capsys.readouterr().out
 
 
 class TestServe:
