@@ -71,6 +71,8 @@ class DDPGAgent:
         self.action_dim = int(action_dim)
         self.config = config or DDPGConfig()
         rng = as_rng(seed)
+        # Four streams, as when each target drew its own init: the spawn
+        # advances ``rng``, which later seeds the replay buffer.
         net_rngs = spawn_rng(rng, 4)
         self._rng = rng
 
@@ -79,12 +81,8 @@ class DDPGAgent:
             [state_dim, *cfg.actor_hidden, action_dim], output_activation="tanh", seed=net_rngs[0]
         )
         self.critic = MLP([state_dim + action_dim, *cfg.critic_hidden, 1], seed=net_rngs[1])
-        self.target_actor = MLP(
-            [state_dim, *cfg.actor_hidden, action_dim], output_activation="tanh", seed=net_rngs[2]
-        )
-        self.target_critic = MLP([state_dim + action_dim, *cfg.critic_hidden, 1], seed=net_rngs[3])
-        self.target_actor.copy_from(self.actor)
-        self.target_critic.copy_from(self.critic)
+        self.target_actor = self.actor.clone()
+        self.target_critic = self.critic.clone()
 
         self.actor_optimizer = Adam(learning_rate=cfg.actor_lr)
         self.critic_optimizer = Adam(learning_rate=cfg.critic_lr)
@@ -141,13 +139,7 @@ class DDPGAgent:
         width.  The copy forwards through the identical float path as
         :meth:`act`.
         """
-        clone = MLP(
-            [self.state_dim, *self.config.actor_hidden, self.action_dim],
-            output_activation="tanh",
-            seed=0,
-        )
-        clone.copy_from(self.actor)
-        return clone
+        return self.actor.clone()
 
     def random_action(self) -> np.ndarray:
         """Uniform random action in [-1, 1] (pure exploration)."""
@@ -196,8 +188,8 @@ class DDPGAgent:
         td_error = q - y
         critic_loss = float(np.mean(td_error**2))
         grad_q = (2.0 / batch) * td_error
-        critic_grads, _ = self.critic.backward(grad_q)
-        self.critic_optimizer.step(self.critic.parameters(), critic_grads)
+        self.critic.backward(grad_q, input_grad=False)
+        self.critic_optimizer.step([self.critic.flat], [self.critic.grad])
 
         # --- actor update: maximise Q(s, mu(s)) => gradient ascent
         actor_actions = self.actor.forward(states, cache=True)
@@ -205,11 +197,13 @@ class DDPGAgent:
         q_actor = self.critic.forward(critic_in2, cache=True)
         actor_objective = float(np.mean(q_actor))
         # dJ/da through the critic; only the action part of the input grad.
-        _, grad_input = self.critic.backward(np.full_like(q_actor, 1.0 / batch))
+        _, grad_input = self.critic.backward(
+            np.full_like(q_actor, 1.0 / batch), param_grads=False
+        )
         grad_action = grad_input[:, self.state_dim :]
         # Ascend: pass -dJ/da as the "loss" gradient to the actor.
-        actor_grads, _ = self.actor.backward(-grad_action)
-        self.actor_optimizer.step(self.actor.parameters(), actor_grads)
+        self.actor.backward(-grad_action, input_grad=False)
+        self.actor_optimizer.step([self.actor.flat], [self.actor.grad])
 
         # --- target networks
         self.target_actor.soft_update_from(self.actor, cfg.tau)
@@ -219,16 +213,16 @@ class DDPGAgent:
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
-        """Copy of actor/critic parameters (used to store the best policy)."""
-        return {
-            "actor": [p.copy() for p in self.actor.parameters()],
-            "critic": [p.copy() for p in self.critic.parameters()],
-        }
+        """Copy of the actor's and critic's flat parameter vectors (used to
+        store the best policy)."""
+        return {"actor": self.actor.flat.copy(), "critic": self.critic.flat.copy()}
 
     def restore(self, snapshot: dict) -> None:
         """Restore parameters produced by :meth:`snapshot`."""
-        self.actor.set_parameters(snapshot["actor"])
-        self.critic.set_parameters(snapshot["critic"])
+        for net, flat in ((self.actor, snapshot["actor"]), (self.critic, snapshot["critic"])):
+            if np.shape(flat) != net.flat.shape:
+                raise ValueError("snapshot does not match the agent's networks")
+            np.copyto(net.flat, flat)
         self.target_actor.copy_from(self.actor)
         self.target_critic.copy_from(self.critic)
 

@@ -32,6 +32,7 @@ identical verdicts in identical order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -305,9 +306,12 @@ def _parse_churn_float(options: Dict[str, str], key: str, default: float) -> flo
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"churn option {key}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"churn option {key}={raw!r} must be finite")
+    return value
 
 
 def _parse_churn_int(options: Dict[str, str], key: str, default: int) -> int:
@@ -342,6 +346,8 @@ def _parse_event_item(item: str) -> Tuple[str, int, float]:
         t_ms = float(t_raw.strip())
     except ValueError:
         raise ValueError(f"churn event {item!r} time {t_raw!r} is not a number") from None
+    if not math.isfinite(t_ms):
+        raise ValueError(f"churn event {item!r} time {t_raw!r} must be finite")
     return kind, device, t_ms
 
 

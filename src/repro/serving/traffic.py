@@ -29,6 +29,7 @@ Where this sits in the stack is drawn in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple, Union
 
@@ -275,9 +276,12 @@ def _parse_float(options: Dict[str, str], key: str, default: float) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"traffic option {key}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"traffic option {key}={raw!r} must be finite")
+    return value
 
 
 def _parse_int(options: Dict[str, str], key: str, default: int) -> int:
@@ -381,6 +385,8 @@ def parse_traffic_spec(spec: str) -> ArrivalProcess:
             offsets = tuple(float(part) for part in raw.split(";") if part.strip())
         except ValueError:
             raise ValueError(f"traffic:trace times={raw!r} contains a non-number") from None
+        if not all(math.isfinite(t) for t in offsets):
+            raise ValueError(f"traffic:trace times={raw!r} must all be finite")
         return TraceArrivals(offsets_s=offsets)
     raise ValueError(
         f"unknown traffic kind {kind!r}; expected one of {sorted(TRAFFIC_KINDS)} "

@@ -7,18 +7,22 @@ settings are exercised by the benchmark harness instead.
 
 from __future__ import annotations
 
+from typing import List, Optional, Tuple
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.core.cost import random_split_decisions
 from repro.core.ddpg import DDPGConfig
 from repro.core.osds import OSDSConfig
+from repro.core.replay import Transition
 from repro.devices.specs import make_cluster
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.nn.execution import ModelExecutor
 from repro.runtime.evaluator import PlanEvaluator
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, spawn_rng
 
 # A global hypothesis profile keeping property tests quick and deadline-free
 # (the NumPy conv reference can be slow on the first JIT-less call).
@@ -70,6 +74,235 @@ def scalar_mean_score():
         return total / cost_model.num_random_splits
 
     return mean_score
+
+
+# --------------------------------------------------------------------------- #
+# DDPG reference: the allocating update the in-place one must match
+# --------------------------------------------------------------------------- #
+class _ReferenceMLP:
+    """Per-layer weight and bias arrays, allocating forward and backward."""
+
+    def __init__(self, layer_sizes, output_activation=None, seed=0):
+        rng = as_rng(seed)
+        self.layer_sizes = [int(s) for s in layer_sizes]
+        self.output_activation = output_activation
+        self.weights: List[np.ndarray] = []
+        self.biases: List[np.ndarray] = []
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            scale = np.sqrt(2.0 / fan_in)
+            self.weights.append(
+                rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(np.float32)
+            )
+            self.biases.append(np.zeros(fan_out, dtype=np.float32))
+        self.weights[-1] = rng.uniform(
+            -3e-3, 3e-3, size=self.weights[-1].shape
+        ).astype(np.float32)
+        self._cache: Optional[List[np.ndarray]] = None
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.weights)
+
+    def parameters(self) -> List[np.ndarray]:
+        params: List[np.ndarray] = []
+        for w, b in zip(self.weights, self.biases):
+            params.extend((w, b))
+        return params
+
+    def copy_from(self, other: "_ReferenceMLP") -> None:
+        for i in range(self.num_layers):
+            self.weights[i] = other.weights[i].astype(np.float32).copy()
+            self.biases[i] = other.biases[i].astype(np.float32).copy()
+
+    def soft_update_from(self, other: "_ReferenceMLP", tau: float) -> None:
+        for i in range(self.num_layers):
+            self.weights[i] = (tau * other.weights[i] + (1.0 - tau) * self.weights[i]).astype(
+                np.float32
+            )
+            self.biases[i] = (tau * other.biases[i] + (1.0 - tau) * self.biases[i]).astype(
+                np.float32
+            )
+
+    def forward(self, x, cache=False):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float32))
+        activations = [x]
+        h = x
+        for i in range(self.num_layers):
+            z = h @ self.weights[i] + self.biases[i]
+            if i < self.num_layers - 1:
+                h = np.maximum(z, 0.0)
+            elif self.output_activation == "tanh":
+                h = np.tanh(z)
+            else:
+                h = z
+            activations.append(h)
+        if cache:
+            self._cache = activations
+        return h
+
+    def backward(self, grad_output):
+        activations = self._cache
+        grad = np.atleast_2d(np.asarray(grad_output, dtype=np.float32))
+        weight_grads = [np.zeros_like(w) for w in self.weights]
+        bias_grads = [np.zeros_like(b) for b in self.biases]
+        for i in range(self.num_layers - 1, -1, -1):
+            out_i = activations[i + 1]
+            in_i = activations[i]
+            if i == self.num_layers - 1:
+                if self.output_activation == "tanh":
+                    grad = grad * (1.0 - out_i * out_i)
+            else:
+                grad = grad * (out_i > 0.0).astype(out_i.dtype)
+            weight_grads[i] = in_i.T @ grad
+            bias_grads[i] = grad.sum(axis=0)
+            grad = grad @ self.weights[i].T
+        param_grads: List[np.ndarray] = []
+        for wg, bg in zip(weight_grads, bias_grads):
+            param_grads.extend((wg, bg))
+        return param_grads, grad
+
+
+class _ReferenceAdam:
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self._m: List[np.ndarray] = []
+        self._v: List[np.ndarray] = []
+        self._t = 0
+
+    def step(self, params, grads) -> None:
+        if not self._m:
+            self._m = [np.zeros_like(p) for p in params]
+            self._v = [np.zeros_like(p) for p in params]
+        self._t += 1
+        lr_t = self.learning_rate * np.sqrt(1 - self.beta2**self._t) / (1 - self.beta1**self._t)
+        for p, g, m, v in zip(params, grads, self._m, self._v):
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * (g * g)
+            p -= lr_t * m / (np.sqrt(v) + self.epsilon)
+
+
+class _ReferenceReplay:
+    """A list of :class:`Transition` objects, stacked at every sample."""
+
+    def __init__(self, capacity, seed):
+        self.capacity = int(capacity)
+        self._rng = as_rng(seed)
+        self._storage: List[Transition] = []
+        self._cursor = 0
+
+    def __len__(self) -> int:
+        return len(self._storage)
+
+    @property
+    def transitions(self) -> Tuple[Transition, ...]:
+        return tuple(self._storage)
+
+    def add(self, transition: Transition) -> None:
+        if len(self._storage) < self.capacity:
+            self._storage.append(transition)
+        else:
+            self._storage[self._cursor] = transition
+            self._cursor = (self._cursor + 1) % self.capacity
+
+    def sample(self, batch_size):
+        batch_size = min(batch_size, len(self._storage))
+        indices = self._rng.integers(0, len(self._storage), size=batch_size)
+        batch = [self._storage[i] for i in indices]
+        states = np.stack([t.state for t in batch]).astype(np.float32)
+        actions = np.stack([t.action for t in batch]).astype(np.float32)
+        rewards = np.array([[t.reward] for t in batch], dtype=np.float32)
+        next_states = np.stack([t.next_state for t in batch]).astype(np.float32)
+        dones = np.array([[1.0 if t.done else 0.0] for t in batch], dtype=np.float32)
+        return states, actions, rewards, next_states, dones
+
+
+class _ReferenceDDPG:
+    """The DDPG agent with the allocating update, built from the same seed
+    the way :class:`~repro.core.ddpg.DDPGAgent` draws it."""
+
+    def __init__(self, state_dim, action_dim, config, seed):
+        self.state_dim = int(state_dim)
+        self.config = config
+        rng = as_rng(seed)
+        net_rngs = spawn_rng(rng, 4)
+        cfg = config
+        actor_sizes = [state_dim, *cfg.actor_hidden, action_dim]
+        critic_sizes = [state_dim + action_dim, *cfg.critic_hidden, 1]
+        self.actor = _ReferenceMLP(actor_sizes, "tanh", seed=net_rngs[0])
+        self.critic = _ReferenceMLP(critic_sizes, seed=net_rngs[1])
+        self.target_actor = _ReferenceMLP(actor_sizes, "tanh", seed=net_rngs[2])
+        self.target_critic = _ReferenceMLP(critic_sizes, seed=net_rngs[3])
+        self.target_actor.copy_from(self.actor)
+        self.target_critic.copy_from(self.critic)
+        self.actor_optimizer = _ReferenceAdam(cfg.actor_lr)
+        self.critic_optimizer = _ReferenceAdam(cfg.critic_lr)
+        self.buffer = _ReferenceReplay(cfg.buffer_capacity, seed=rng.integers(2**31 - 1))
+        #: Every minibatch :meth:`update` sampled, in order.
+        self.batches: List[Tuple[np.ndarray, ...]] = []
+
+    def remember(self, state, action, reward, next_state, done) -> None:
+        self.buffer.add(
+            Transition(
+                state=np.asarray(state, dtype=np.float32),
+                action=np.asarray(action, dtype=np.float32),
+                reward=float(reward),
+                next_state=np.asarray(next_state, dtype=np.float32),
+                done=bool(done),
+            )
+        )
+
+    def update(self):
+        cfg = self.config
+        if len(self.buffer) < cfg.warmup_transitions:
+            return None
+        states, actions, rewards, next_states, dones = self.buffer.sample(cfg.batch_size)
+        self.batches.append((states, actions, rewards, next_states, dones))
+        batch = states.shape[0]
+
+        next_actions = self.target_actor.forward(next_states)
+        target_q = self.target_critic.forward(
+            np.concatenate([next_states, next_actions], axis=1)
+        )
+        y = rewards + cfg.gamma * (1.0 - dones) * target_q
+        critic_in = np.concatenate([states, actions], axis=1)
+        q = self.critic.forward(critic_in, cache=True)
+        td_error = q - y
+        critic_loss = float(np.mean(td_error**2))
+        grad_q = (2.0 / batch) * td_error
+        critic_grads, _ = self.critic.backward(grad_q)
+        self.critic_optimizer.step(self.critic.parameters(), critic_grads)
+
+        actor_actions = self.actor.forward(states, cache=True)
+        critic_in2 = np.concatenate([states, actor_actions], axis=1)
+        q_actor = self.critic.forward(critic_in2, cache=True)
+        actor_objective = float(np.mean(q_actor))
+        _, grad_input = self.critic.backward(np.full_like(q_actor, 1.0 / batch))
+        grad_action = grad_input[:, self.state_dim :]
+        actor_grads, _ = self.actor.backward(-grad_action)
+        self.actor_optimizer.step(self.actor.parameters(), actor_grads)
+
+        self.target_actor.soft_update_from(self.actor, cfg.tau)
+        self.target_critic.soft_update_from(self.critic, cfg.tau)
+        return critic_loss, actor_objective
+
+
+@pytest.fixture(scope="session")
+def reference_ddpg_update():
+    """Reference of the in-place ``DDPGAgent.update``: the allocating one.
+
+    Returns a factory ``(state_dim, action_dim, config, seed) -> agent`` for
+    an agent with per-layer parameter arrays, a list-of-arrays Adam and a
+    list-of-:class:`Transition` replay buffer that stacks every sample.  Its
+    ``update`` records each sampled minibatch in ``batches``.  Fed the same
+    transitions, it must produce the new agent's parameters, Adam moments,
+    losses and samples float for float.
+    """
+    return _ReferenceDDPG
 
 
 @pytest.fixture(scope="session")

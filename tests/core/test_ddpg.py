@@ -125,6 +125,90 @@ class TestAgent:
         agent.restore(snapshot)
         np.testing.assert_allclose(agent.act(state), before, atol=1e-6)
 
+    def test_restore_rejects_mismatched_snapshot(self, agent):
+        snapshot = agent.snapshot()
+        with pytest.raises(ValueError):
+            agent.restore({"actor": np.float32(0.0), "critic": snapshot["critic"]})
+
+    def test_targets_and_acting_copy_are_independent_clones(self, agent):
+        for net, target in ((agent.actor, agent.target_actor), (agent.critic, agent.target_critic)):
+            np.testing.assert_array_equal(net.flat, target.flat)
+            assert not np.shares_memory(net.flat, target.flat)
+        acting = agent.actor_copy()
+        np.testing.assert_array_equal(acting.flat, agent.actor.flat)
+        assert not np.shares_memory(acting.flat, agent.actor.flat)
+
     def test_invalid_dims(self, fast_ddpg_config):
         with pytest.raises(ValueError):
             DDPGAgent(0, 2, config=fast_ddpg_config)
+
+
+class TestInPlaceUpdateParity:
+    """The in-place update must give the allocating reference's floats."""
+
+    @staticmethod
+    def _setup(name, fast_ddpg_config):
+        from dataclasses import replace
+
+        if name == "paper":
+            return 20, 15, DDPGConfig(), 270
+        # A ring smaller than the insertions, so sampling runs after wrap-around.
+        return 4, 2, replace(fast_ddpg_config, buffer_capacity=40), 240
+
+    @staticmethod
+    def _flat(arrays):
+        return np.concatenate([np.ravel(a) for a in arrays])
+
+    @pytest.mark.parametrize("name", ["paper", "wrapping"])
+    def test_matches_reference_update(self, name, fast_ddpg_config, reference_ddpg_update):
+        state_dim, action_dim, config, insertions = self._setup(name, fast_ddpg_config)
+        agent = DDPGAgent(state_dim, action_dim, config=config, seed=11)
+        reference = reference_ddpg_update(state_dim, action_dim, config, 11)
+        batches = []
+        sample = agent.buffer.sample
+
+        def recording_sample(batch_size):
+            batch = sample(batch_size)
+            batches.append(batch)
+            return batch
+
+        agent.buffer.sample = recording_sample
+        rng = np.random.default_rng(5)
+        updates = 0
+        for _ in range(insertions):
+            transition = (
+                rng.normal(size=state_dim),
+                rng.uniform(-1, 1, size=action_dim),
+                float(rng.normal()),
+                rng.normal(size=state_dim),
+                bool(rng.random() < 0.3),
+            )
+            agent.remember(*transition)
+            reference.remember(*transition)
+            out, ref_out = agent.update(), reference.update()
+            assert out == ref_out
+            updates += out is not None
+        assert updates >= 200
+        assert len(batches) == len(reference.batches) == updates
+        for batch, ref_batch in zip(batches, reference.batches):
+            for column, ref_column in zip(batch, ref_batch):
+                assert column.dtype == ref_column.dtype == np.float32
+                assert np.array_equal(column, ref_column)
+
+        for net in ("actor", "critic", "target_actor", "target_critic"):
+            for p, q in zip(getattr(agent, net).parameters(), getattr(reference, net).parameters()):
+                assert p.dtype == q.dtype and np.array_equal(p, q), net
+        for opt in ("actor_optimizer", "critic_optimizer"):
+            mine, ref = getattr(agent, opt), getattr(reference, opt)
+            assert mine._t == ref._t == updates
+            assert np.array_equal(self._flat(mine._m), self._flat(ref._m))
+            assert np.array_equal(self._flat(mine._v), self._flat(ref._v))
+
+        stored, ref_stored = agent.buffer.transitions, reference.buffer.transitions
+        assert len(stored) == len(ref_stored) == min(insertions, config.buffer_capacity)
+        for t, r in zip(stored, ref_stored):
+            assert np.array_equal(t.state, r.state)
+            assert np.array_equal(t.action, r.action)
+            assert t.reward == r.reward
+            assert np.array_equal(t.next_state, r.next_state)
+            assert t.done == r.done

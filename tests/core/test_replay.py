@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.replay import ReplayBuffer, Transition
+from repro.core.replay import INITIAL_ROWS, ReplayBuffer, Transition
 
 
 def make_transition(i: int) -> Transition:
@@ -73,3 +73,44 @@ class TestReplayBuffer:
             return buffer.sample(5)[2]
 
         np.testing.assert_array_equal(collect(3), collect(3))
+
+
+class TestColumns:
+    def test_columns_grow_instead_of_preallocating(self):
+        buffer = ReplayBuffer(capacity=100_000)
+        for i in range(INITIAL_ROWS + 1):
+            buffer.add(make_transition(i))
+        rows = len(buffer._columns[0])
+        assert INITIAL_ROWS < rows <= 2 * INITIAL_ROWS
+
+    def test_transitions_in_slot_order_after_wrap(self):
+        buffer = ReplayBuffer(capacity=3)
+        for i in range(5):
+            buffer.add(make_transition(i))
+        # Slots 0 and 1 were overwritten by transitions 3 and 4.
+        assert [t.reward for t in buffer.transitions] == [3.0, 4.0, 2.0]
+        third = buffer.transitions[2]
+        assert isinstance(third.reward, float) and third.done is True
+        np.testing.assert_array_equal(third.state, make_transition(2).state)
+
+    def test_sample_equals_stacked_transitions(self):
+        buffer = ReplayBuffer(capacity=50, seed=4)
+        for i in range(80):
+            buffer.add(make_transition(i))
+        stored = buffer.transitions
+        # The rows the buffer is about to draw, from a copy of its generator.
+        probe = np.random.default_rng()
+        probe.bit_generator.state = buffer._rng.bit_generator.state
+        rows = probe.integers(0, len(stored), size=16)
+        states, actions, rewards, next_states, dones = buffer.sample(16)
+        np.testing.assert_array_equal(states, np.stack([stored[i].state for i in rows]))
+        np.testing.assert_array_equal(actions, np.stack([stored[i].action for i in rows]))
+        np.testing.assert_array_equal(
+            rewards, np.array([[stored[i].reward] for i in rows], dtype=np.float32)
+        )
+        np.testing.assert_array_equal(
+            next_states, np.stack([stored[i].next_state for i in rows])
+        )
+        np.testing.assert_array_equal(
+            dones, np.array([[1.0 if stored[i].done else 0.0] for i in rows], dtype=np.float32)
+        )

@@ -97,6 +97,22 @@ class TestChurnGrammar:
         with pytest.raises(ValueError, match="is not a number"):
             parse_churn_spec("churn:events=crash:0@soon")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "churn:crashes=1,window_ms=inf",
+            "churn:crashes=1,window_ms=nan",
+            "churn:crashes=1,start_ms=nan",
+            "churn:events=crash:1@nan",
+            "churn:events=crash:1@inf",
+        ],
+    )
+    def test_non_finite_floats_rejected(self, spec):
+        """Regression: non-finite times used to overflow at resolve time or
+        land in the fault trace."""
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_churn_spec(spec)
+
     def test_trace_fleet_size_mismatch_rejected(self):
         trace = _trace(("crash", 0, 100.0), n=4)
         with pytest.raises(ValueError, match="rebuild the trace"):

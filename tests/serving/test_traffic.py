@@ -133,6 +133,13 @@ class TestGrammar:
             ("traffic:poisson,rate=0", "rate_rps must be > 0"),
             ("traffic:mmpp,low=5,high=2", "high_rps must exceed"),
             ("traffic:diurnal,base=5,peak=2", "peak_rps must be positive and >="),
+            # Regression: non-finite floats used to overflow or stall at run time.
+            ("traffic:poisson,rate=inf", "must be finite"),
+            ("traffic:poisson,rate=nan", "must be finite"),
+            ("traffic:mmpp,dwell_low=nan", "must be finite"),
+            ("traffic:diurnal,period=nan", "must be finite"),
+            ("traffic:trace,times=inf", "must all be finite"),
+            ("traffic:trace,times=0.5;nan", "must all be finite"),
         ],
     )
     def test_malformed_specs_raise_with_useful_message(self, spec, fragment):

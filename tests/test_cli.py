@@ -275,6 +275,27 @@ class TestServe:
         assert code == 2
         assert "unknown traffic kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [
+            ("--traffic", "traffic:poisson,rate=inf"),
+            ("--traffic", "traffic:trace,times=nan"),
+            ("--churn", "churn:crashes=1,window_ms=inf"),
+            ("--churn", "churn:events=crash:1@nan"),
+        ],
+    )
+    def test_serve_non_finite_spec_exits_cleanly(self, flag, spec, capsys):
+        """Regression: non-finite traffic:/churn: floats are rejected when the
+        spec is parsed, not by a traceback once the run starts."""
+        code = main([
+            "serve", "--scenario", "DB", "--tenant", "coedge",
+            flag, spec, "--duration", "2",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must" in err and "finite" in err
+        assert "Traceback" not in err
+
     def test_serve_unknown_tenant_method(self, capsys):
         code = main([
             "serve", "--scenario", "gen:n=4,bw=200,types=nano",
