@@ -59,6 +59,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -84,6 +85,17 @@ def _parse_device_specs(specs: Sequence[str]) -> List[tuple]:
         else:
             out.append((spec, 300.0))
     return out
+
+
+def _bandwidth_mbps(text: str) -> float:
+    """argparse type of ``--bandwidth``: a finite link rate in Mbps, > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite rate > 0 Mbps, got {text!r}")
+    return value
 
 
 def _scenario_from_args(name: str, bandwidth: Optional[float]) -> Optional[Scenario]:
@@ -991,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "like gen:n=32,seed=7,bw=50-300,types=mixed; "
                               "catalogue Table-I groups default to 200 Mbps "
                               "(override with --bandwidth)")
-    p_plan.add_argument("--bandwidth", type=float, default=None,
+    p_plan.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
                         help="re-shape every link of a catalogue --scenario "
                              "to this rate in Mbps")
     p_plan.add_argument("--method", default="distredge",
@@ -1017,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved plan")
     p_eval.add_argument("plan", help="path to a plan JSON file")
-    p_eval.add_argument("--bandwidth", type=float, default=None,
+    p_eval.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
                         help="override every provider's bandwidth (Mbps); with "
                              "--scenario, re-shapes a catalogue scenario's links "
                              "instead (same semantics as plan/compare)")
@@ -1035,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--scenario", default="DB",
                          help="catalogue name or gen: spec (same resolution as "
                               "plan/compare)")
-    p_serve.add_argument("--bandwidth", type=float, default=None,
+    p_serve.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
                          help="re-shape every link of a catalogue --scenario (Mbps)")
     p_serve.add_argument("--tenant", action="append", dest="tenants",
                          metavar="METHOD[@MODEL]",
@@ -1269,7 +1281,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="catalogue name or gen: spec for an inline run "
                            "(same resolution as serve); ignored with "
                            "--trace-json")
-    p_an.add_argument("--bandwidth", type=float, default=None,
+    p_an.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
                       help="re-shape every link of a catalogue --scenario (Mbps)")
     p_an.add_argument("--tenant", action="append", dest="tenants",
                       metavar="METHOD[@MODEL]",
@@ -1325,7 +1337,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="catalogue name (DA..DC, NA-nano.., LA..LD, homog-nano, "
                             "dynamic-nano) or gen:... spec; same resolution as plan "
                             "(Table-I groups default to 200 Mbps)")
-    p_cmp.add_argument("--bandwidth", type=float, default=None,
+    p_cmp.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
                        help="re-shape every link of a catalogue --scenario to this "
                             "rate in Mbps; not applicable to gen: scenarios")
     p_cmp.add_argument("--model", default="vgg16", choices=model_zoo.list_models())

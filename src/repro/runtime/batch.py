@@ -5,7 +5,7 @@ through Python loops — fine for a single inference, but the planner stack
 (LC-PSS re-voting, OSDS episodes, heuristic seeding, online candidate
 scoring, figure regeneration) evaluates *thousands* of plans, and that loop
 is the hottest path in the repository.  :class:`BatchPlanEvaluator` removes
-it in two complementary ways:
+it in three complementary ways:
 
 1. **Vectorisation.**  All plans that share a model and a partition scheme
    are scheduled together: per layer-volume, one sweep over the canonical
@@ -18,7 +18,18 @@ it in two complementary ways:
    tests, which is what allows DDPG/LC-PSS/OSDS to route through this path
    without changing a single reported number.
 
-2. **Memoization.**  Full evaluations are cached in an LRU keyed on
+2. **Compiled plans.**  Array scheduling only pays off across plans, and on
+   a dynamic network every request is a group of one.  A singleton group
+   walks its :class:`CompiledPlan` instead: the transfers, I/O overheads,
+   local-overlap flags and part durations of one plan, built once and kept
+   in an LRU keyed on ``(model, plan structure)``, walked at the one link
+   rate vector sampled for the evaluation instant.  The contention-aware
+   walk over a :class:`BatchPlanEvaluator` reuses the same compiled plans.
+   The walk books the scalar evaluator's lanes with its floats, so it is
+   bit-identical too; :class:`PlanEvaluator` keeps its dict walk as the
+   oracle.
+
+3. **Memoization.**  Full evaluations are cached in an LRU keyed on
    ``(model, partition boundaries, split decisions, head placement,
    network state)``.  The network-state component is the tuple of
    instantaneous per-endpoint throughputs, so on a constant network the same
@@ -42,16 +53,22 @@ from __future__ import annotations
 
 from dataclasses import replace
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.devices.specs import DeviceInstance
-from repro.network.topology import NetworkModel
+from repro.network.topology import REQUESTER, NetworkModel
 from repro.obs.profile import NULL_PROFILER
 from repro.nn.graph import LayerVolume, ModelSpec
 from repro.nn.layers import LayerSpec
-from repro.runtime.evaluator import EvaluationResult, PlanEvaluator, VolumeTiming
+from repro.runtime.evaluator import (
+    EvaluationResult,
+    PlanEvaluator,
+    ScheduleState,
+    VolumeTiming,
+)
+from repro.runtime.lanes import LaneSet
 from repro.runtime.oracles import (
     ComputeOracle,
     GroundTruthComputeOracle,
@@ -59,7 +76,7 @@ from repro.runtime.oracles import (
     ProfileComputeOracle,
     unwrap_oracle,
 )
-from repro.runtime.plan import DistributionPlan
+from repro.runtime.plan import DistributionPlan, redistribution_bytes
 from repro.utils.cache import LRUCache
 from repro.utils.units import FP16_BYTES, MBPS
 
@@ -130,7 +147,8 @@ class BatchPlanEvaluator(PlanEvaluator):
     Parameters beyond :class:`PlanEvaluator`'s:
 
     cache_size:
-        Capacity of the full-evaluation LRU (default 4096 plans).
+        Capacity of the full-evaluation LRU (default 4096 plans), and of the
+        LRU of compiled plans (:class:`CompiledPlan`) keyed on ``(model, plan structure)``.
     """
 
     def __init__(
@@ -150,6 +168,7 @@ class BatchPlanEvaluator(PlanEvaluator):
             memoize_compute=memoize_compute,
         )
         self._plan_cache = LRUCache(cache_size)
+        self._compiled = LRUCache(cache_size)
         self.profiler = NULL_PROFILER
         # Model identity tokens: keyed by object id, with a strong reference
         # kept so ids cannot be recycled while the cache may still hold
@@ -207,6 +226,15 @@ class BatchPlanEvaluator(PlanEvaluator):
             self._model_tokens[key] = token
             self._model_refs[key] = model
         return token
+
+    def compiled_plan(self, plan: DistributionPlan) -> CompiledPlan:
+        """The :class:`CompiledPlan` of ``plan`` on this evaluator (LRU-cached)."""
+        key = (self._model_token(plan.model), plan_signature(plan))
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            compiled = CompiledPlan(self, plan)
+            self._compiled.put(key, compiled)
+        return compiled
 
     # ------------------------------------------------------------------ #
     def evaluate(self, plan: DistributionPlan, t_seconds: float = 0.0) -> EvaluationResult:
@@ -268,7 +296,7 @@ class BatchPlanEvaluator(PlanEvaluator):
                 group_key = (id(plan.model), tuple(plan.boundaries))
                 groups.setdefault(group_key, []).append(i)
         for indices in groups.values():
-            fresh = self._evaluate_group([plans[i] for i in indices], t_seconds)
+            fresh = self._evaluate_group([plans[i] for i in indices], t_seconds, net_sig)
             for i, result in zip(indices, fresh):
                 self._plan_cache.put(keys[i], result)
                 computed[keys[i]] = result
@@ -287,7 +315,10 @@ class BatchPlanEvaluator(PlanEvaluator):
     # the vectorised engine
     # ------------------------------------------------------------------ #
     def _evaluate_group(
-        self, plans: Sequence[DistributionPlan], t_seconds: float
+        self,
+        plans: Sequence[DistributionPlan],
+        t_seconds: float,
+        net_sig: Tuple[float, ...],
     ) -> List[EvaluationResult]:
         """Schedule a group of plans sharing (model, boundaries) as arrays.
 
@@ -298,13 +329,16 @@ class BatchPlanEvaluator(PlanEvaluator):
         produces, lane reservations use the same three-operand ``max``, and
         per-part latencies use the same float expression tree — so every
         element of every output array is the very float the scalar evaluator
-        would produce.
+        would produce.  ``net_sig`` is the rate vector already sampled at
+        ``t_seconds``.
         """
         if len(plans) == 1:
             # Array scheduling only pays off across plans; a singleton group
-            # takes the scalar path (bit-identical by the parity guarantee)
-            # and still populates the shared per-part compute memo.
-            return [PlanEvaluator.evaluate(self, plans[0], t_seconds)]
+            # walks its compiled plan at the sampled rates (bit-identical to
+            # the scalar walk), whose build populated the per-part memo.
+            plan = plans[0]
+            state = ScheduleState(lanes=LaneSet(), data_ready_ms={}, prev_parts=None)
+            return [self.compiled_plan(plan).run(state, net_sig, plan.method)]
         prof = self.profiler
         sweep_start = perf_counter() if prof.enabled else 0.0
         model = plans[0].model
@@ -424,6 +458,262 @@ class BatchPlanEvaluator(PlanEvaluator):
                 items[(int(j), (int(lo), int(hi)))] = value
             self.oracle.seed_parts(volume, items)
         return total
+
+
+#: One transfer of a compiled plan: ``(source endpoint, bytes, I/O overhead ms)``.
+Transfer = Tuple[int, int, float]
+
+
+class CompiledPlan:
+    """One plan's evaluation with everything but the link rates precomputed.
+
+    :meth:`PlanEvaluator.process_volume` rebuilds every boundary's transfer
+    dict, rescans it once per destination and samples two link traces per
+    transfer, on every call — yet all of that depends on the plan alone,
+    except the link rates, of which there are only ``devices + 1`` at any
+    instant.  A compiled plan holds, per volume and destination device, the
+    incoming transfers in the scalar dict order (destination ascending, then
+    source ascending) with their byte counts and source-link I/O overheads
+    ``io_fixed + bytes / io_bps * 1000``, the local-overlap flag and the
+    oracle's part duration; and for the last stage the gather, head-compute
+    and result-return records.
+
+    :meth:`run` walks those records over a
+    :class:`~repro.runtime.evaluator.ScheduleState`'s lanes at one sampled
+    rate vector.  Each transfer lasts ``io + bytes / min(bps[src], bps[dst])
+    * 1000`` with ``bps = mbps * MBPS / 8``: the conversion is monotone, so
+    it commutes with ``min`` and every duration is the very float of
+    :meth:`NetworkModel.transfer_latency_ms`.  Lane bookings, ``max``
+    operands and accumulation orders are the scalar walk's, so the
+    :class:`EvaluationResult` is bit-identical to
+    :meth:`PlanEvaluator.evaluate` — the parity the property test
+    ``tests/runtime/test_compiled_plan.py`` asserts field by field.
+    """
+
+    __slots__ = (
+        "num_devices",
+        "volumes",
+        "recv_bytes",
+        "compute_ms",
+        "compute_total_ms",
+        "head_device",
+        "gather",
+        "head_compute_ms",
+        "result",
+        "returns",
+        "senders",
+        "receivers",
+        "computers",
+    )
+
+    def __init__(self, evaluator: PlanEvaluator, plan: DistributionPlan) -> None:
+        n = len(evaluator.devices)
+        network = evaluator.network
+        oracle = evaluator.oracle
+        self.num_devices = n
+        #: Endpoints whose send / receive / compute lane the walk books.
+        senders, receivers, computers = set(), set(), set()
+
+        def transfer(src: int, dst: int, n_bytes: int) -> Transfer:
+            if n_bytes > 0:
+                senders.add(src)
+                receivers.add(dst)
+            model = network.link_of(src).model
+            io = model.io_fixed_ms + n_bytes / model.io_bytes_per_second * 1000.0
+            return (src, n_bytes, io)
+
+        #: Per volume, per device: ``None`` for an empty part, else
+        #: ``(incoming transfers, holds overlapping rows locally, duration)``.
+        self.volumes: List[List[Optional[Tuple[Tuple[Transfer, ...], bool, float]]]] = []
+        self.recv_bytes: List[np.ndarray] = []
+        self.compute_ms: List[np.ndarray] = []
+        compute_total = np.zeros(n)
+        prev_parts = None
+        for assignment in plan.assignments:
+            volume, parts = assignment.volume, assignment.parts
+            if prev_parts is None:
+                # The first volume's scatter: the same dict PlanEvaluator
+                # builds, zero-byte entries included.
+                in_w, in_c = volume.first.in_w, volume.first.in_c
+                transfers = {
+                    (REQUESTER, p.device_index): int(
+                        round(p.num_input_rows * in_w * in_c * evaluator.input_bytes_per_element)
+                    )
+                    for p in parts
+                    if not p.is_empty
+                }
+            else:
+                row_bytes = volume.first.in_w * volume.first.in_c * FP16_BYTES
+                transfers = redistribution_bytes(prev_parts, parts, row_bytes)
+            incoming: List[List[Transfer]] = [[] for _ in range(n)]
+            for (src, dst), n_bytes in transfers.items():
+                incoming[dst].append(transfer(src, dst, n_bytes))
+            records: List[Optional[Tuple[Tuple[Transfer, ...], bool, float]]] = []
+            recv_bytes = np.zeros(n)
+            compute = np.zeros(n)
+            for part in parts:
+                j = part.device_index
+                if part.is_empty:
+                    records.append(None)
+                    continue
+                for _, n_bytes, _ in incoming[j]:
+                    recv_bytes[j] += n_bytes
+                local = False
+                if prev_parts is not None and not prev_parts[j].is_empty:
+                    need_lo, need_hi = part.in_rows
+                    have_lo, have_hi = prev_parts[j].out_rows
+                    local = min(need_hi, have_hi) > max(need_lo, have_lo)
+                duration = oracle.part_latency_ms(j, volume, part)
+                compute[j] = duration
+                compute_total[j] += duration
+                computers.add(j)
+                records.append((tuple(incoming[j]), local, duration))
+            self.volumes.append(records)
+            self.recv_bytes.append(recv_bytes)
+            self.compute_ms.append(compute)
+            prev_parts = parts
+
+        last = [p for p in prev_parts if not p.is_empty]
+        head_layers = plan.model.head_layers
+        self.head_device: Optional[int] = None
+        self.gather: Tuple[Transfer, ...] = ()
+        self.head_compute_ms = 0.0
+        self.result: Optional[Transfer] = None
+        self.returns: Tuple[Transfer, ...] = ()
+        if head_layers:
+            head = plan.head_device
+            self.head_device = head
+            self.gather = tuple(
+                transfer(p.device_index, head, p.output_bytes)
+                for p in last
+                if p.device_index != head
+            )
+            self.head_compute_ms = oracle.head_latency_ms(head, head_layers)
+            compute_total[head] += self.head_compute_ms
+            computers.add(head)
+            self.result = transfer(head, REQUESTER, head_layers[-1].output_bytes)
+        else:
+            self.returns = tuple(transfer(p.device_index, REQUESTER, p.output_bytes) for p in last)
+        self.compute_total_ms = compute_total
+        self.senders = tuple(sorted(senders))
+        self.receivers = tuple(sorted(receivers))
+        self.computers = tuple(sorted(computers))
+
+    def run(
+        self,
+        state: ScheduleState,
+        rates_mbps: Sequence[float],
+        method: str,
+        record_wait: Optional[Callable[[int, str, float], None]] = None,
+    ) -> EvaluationResult:
+        """Schedule one inference on ``state``'s lanes at the given link rates.
+
+        ``rates_mbps`` is :func:`network_state_signature` at the evaluation
+        instant: provider throughputs, then the requester's (so index
+        ``REQUESTER == -1`` reads it).  ``record_wait(endpoint, role,
+        wait_ms)`` is called whenever a job's start is held back by its
+        lane's prior occupancy, with ``wait_ms = free_at - earliest``; the
+        contended walk records lane waits through it.
+        """
+        n = self.num_devices
+        lanes = state.lanes
+        bps = [mbps * MBPS / 8.0 for mbps in rates_mbps]
+        send_lanes = {e: lanes.lane(e, "send") for e in self.senders}
+        recv_lanes = {e: lanes.lane(e, "recv") for e in self.receivers}
+        compute_lanes = {j: lanes.lane(j, "compute") for j in self.computers}
+
+        def send(src: int, dst: int, n_bytes: int, io: float, earliest: float) -> float:
+            # PlanEvaluator._transfer, with the air time from the rate vector.
+            if n_bytes <= 0:
+                return earliest
+            rate = min(bps[src], bps[dst])
+            if rate <= 0:
+                raise ValueError(
+                    f"throughput must be positive, got {min(rates_mbps[src], rates_mbps[dst])}"
+                )
+            duration = io + n_bytes / rate * 1000.0
+            send_lane = send_lanes[src]
+            recv_lane = recv_lanes[dst]
+            if record_wait is not None:
+                if send_lane.free_at > earliest:
+                    record_wait(src, "send", send_lane.free_at - earliest)
+                if recv_lane.free_at > earliest:
+                    record_wait(dst, "recv", recv_lane.free_at - earliest)
+            start = max(earliest, send_lane.free_at, recv_lane.free_at)
+            end = start + duration
+            send_lane.free_at = end
+            send_lane.busy_ms += duration
+            send_lane.jobs += 1
+            recv_lane.free_at = end
+            recv_lane.busy_ms += duration
+            recv_lane.jobs += 1
+            return end
+
+        def compute(j: int, earliest: float, duration: float) -> float:
+            lane = compute_lanes[j]
+            if record_wait is not None and lane.free_at > earliest:
+                record_wait(j, "compute", lane.free_at - earliest)
+            return lane.schedule(earliest, duration)[1]
+
+        data_ready = state.data_ready_ms
+        prev_finish = [0.0] * n
+        for index, records in enumerate(self.volumes):
+            ready = [0.0] * n
+            finish = [0.0] * n
+            for j, record in enumerate(records):
+                if record is None:
+                    finish[j] = ready[j] = prev_finish[j]
+                    continue
+                transfers, local, duration = record
+                arrival = 0.0
+                for src, n_bytes, io in transfers:
+                    source_ready = 0.0 if src == REQUESTER else data_ready.get(src, 0.0)
+                    arrival = max(arrival, send(src, j, n_bytes, io, source_ready))
+                ready[j] = max(arrival, data_ready.get(j, 0.0) if local else 0.0)
+                finish[j] = compute(j, ready[j], duration)
+            for j, record in enumerate(records):
+                data_ready[j] = 0.0 if record is None else finish[j]
+            prev_finish = finish
+            ready_ms = np.array(ready)
+            state.volume_timings.append(
+                VolumeTiming(
+                    volume_index=index,
+                    ready_ms=ready_ms,
+                    finish_ms=np.array(finish),
+                    compute_ms=self.compute_ms[index].copy(),
+                    recv_bytes=self.recv_bytes[index].copy(),
+                )
+            )
+            if index == 0:
+                state.scatter_end_ms = float(ready_ms.max())
+
+        head = self.head_device
+        if head is not None:
+            gather_ready = data_ready.get(head, 0.0)
+            for src, n_bytes, io in self.gather:
+                gather_ready = max(
+                    gather_ready, send(src, head, n_bytes, io, data_ready.get(src, 0.0))
+                )
+            head_end = compute(head, gather_ready, self.head_compute_ms)
+            _, n_bytes, io = self.result
+            end_to_end = send(head, REQUESTER, n_bytes, io, head_end)
+        else:
+            end_to_end = 0.0
+            for src, n_bytes, io in self.returns:
+                end_to_end = max(
+                    end_to_end, send(src, REQUESTER, n_bytes, io, data_ready.get(src, 0.0))
+                )
+        return EvaluationResult(
+            end_to_end_ms=float(end_to_end),
+            volume_timings=state.volume_timings,
+            per_device_compute_ms=self.compute_total_ms.copy(),
+            per_device_send_ms=np.array([lanes.busy_ms(j, "send") for j in range(n)]),
+            per_device_recv_ms=np.array([lanes.busy_ms(j, "recv") for j in range(n)]),
+            scatter_end_ms=state.scatter_end_ms,
+            head_device=head,
+            head_compute_ms=self.head_compute_ms,
+            method=method,
+        )
 
 
 class BatchVolumeScheduler:
@@ -761,6 +1051,7 @@ class BatchVolumeScheduler:
 __all__ = [
     "BatchPlanEvaluator",
     "BatchVolumeScheduler",
+    "CompiledPlan",
     "network_state_signature",
     "plan_signature",
 ]

@@ -28,11 +28,15 @@ mode (``memoize=False``) re-walks every request scalar-ly — and the two are
 bit-identical because a memo hit replays the very floats a fresh walk would
 produce.
 
-The scalar walk itself is :class:`~repro.runtime.evaluator.PlanEvaluator`'s
-own ``process_volume``/``finalize`` code, driven over lanes pre-seeded with
-the residuals (plus wait-time recording that never changes a scheduled
-float).  With all residuals zero the walk *is* the uncontended evaluation,
-so an idle fleet reproduces the paper's one-image-in-flight numbers exactly.
+The walk itself is the wrapped evaluator's own: a
+:class:`~repro.runtime.batch.BatchPlanEvaluator`'s
+:class:`~repro.runtime.batch.CompiledPlan` walk, or else
+:class:`~repro.runtime.evaluator.PlanEvaluator`'s ``process_volume``/
+``finalize`` code — driven over lanes pre-seeded with the residuals (plus
+wait-time recording that never changes a scheduled float).  The two walks
+are bit-identical.  With all residuals zero the walk *is* the uncontended
+evaluation, so an idle fleet reproduces the paper's one-image-in-flight
+numbers exactly.
 
 Prediction vs. commitment.  :meth:`ContentionAwareEvaluator.predict`
 computes a request's contended outcome *without* touching the shared state;
@@ -56,7 +60,7 @@ import numpy as np
 from repro.network.topology import REQUESTER
 from repro.obs.profile import NULL_PROFILER
 from repro.nn.graph import ModelSpec
-from repro.runtime.batch import network_state_signature, plan_signature
+from repro.runtime.batch import BatchPlanEvaluator, network_state_signature, plan_signature
 from repro.runtime.evaluator import EvaluationResult, PlanEvaluator
 from repro.runtime.lanes import LaneSet
 from repro.runtime.plan import DistributionPlan
@@ -76,7 +80,8 @@ class _RecordingLaneSet(LaneSet):
 
     ``note_wait`` records ``max(0, busy_until - earliest)`` — the time a
     job's start was (or would have been) held back by the lane's prior
-    occupancy.  Recording is pure bookkeeping: every scheduled float is
+    occupancy — through :meth:`add_wait`, the hook the compiled walk calls
+    directly.  Recording is pure bookkeeping: every scheduled float is
     produced by the unmodified base-class arithmetic.
     """
 
@@ -84,11 +89,14 @@ class _RecordingLaneSet(LaneSet):
         super().__init__()
         self.wait_ms: Dict[Tuple[Hashable, str], float] = {}
 
+    def add_wait(self, endpoint: Hashable, role: str, wait_ms: float) -> None:
+        key = (endpoint, role)
+        self.wait_ms[key] = self.wait_ms.get(key, 0.0) + wait_ms
+
     def note_wait(self, endpoint: Hashable, role: str, earliest_ms: float) -> None:
         lane = self.lane(endpoint, role)
         if lane.free_at > earliest_ms:
-            key = (endpoint, role)
-            self.wait_ms[key] = self.wait_ms.get(key, 0.0) + (lane.free_at - earliest_ms)
+            self.add_wait(endpoint, role, lane.free_at - earliest_ms)
 
     def schedule(
         self, endpoint: Hashable, role: str, earliest_start: float, duration_ms: float
@@ -549,8 +557,9 @@ class ContentionAwareEvaluator:
     ----------
     evaluator:
         The cluster-bound evaluator whose devices/network/oracle define the
-        world (scalar or batch; contended scheduling is inherently
-        sequential, so it always runs the scalar walk).
+        world.  Contended scheduling is inherently sequential, so it walks
+        one plan at a time: a :class:`BatchPlanEvaluator`'s compiled plans,
+        or a plain :class:`PlanEvaluator`'s dict walk (bit-identical).
     fleet:
         Shared lane state; a fresh one is created when omitted.
     max_inflight:
@@ -601,17 +610,19 @@ class ContentionAwareEvaluator:
             compute_oracle=evaluator.oracle,
             input_bytes_per_element=evaluator.input_bytes_per_element,
         )
+        self._compiler = evaluator if isinstance(evaluator, BatchPlanEvaluator) else None
         if memo is not None:
             self._memo: Optional[LRUCache] = memo
         else:
             self._memo = LRUCache(cache_size) if memoize else None
         self._model_tokens: Dict[int, int] = {}
         self._model_refs: Dict[int, ModelSpec] = {}
-        # Plan signatures cached by object identity (plans are immutable;
-        # the reference pins the id against recycling) — the memo key is
-        # rebuilt per dispatch and this is its only non-trivial component.
-        self._plan_sigs: Dict[int, Tuple] = {}
-        self._plan_refs: Dict[int, DistributionPlan] = {}
+        # Plan signatures cached by object identity (plans are immutable) —
+        # the memo key is rebuilt per dispatch and this is its only
+        # non-trivial component.  Entries hold the plan itself, so a hit is
+        # checked by identity against a recycled id; the LRU bounds what
+        # replans pin.
+        self._plan_sigs = LRUCache(cache_size)
         self.evaluations = 0
         self.profiler = NULL_PROFILER
 
@@ -634,10 +645,15 @@ class ContentionAwareEvaluator:
         self,
         plan: DistributionPlan,
         t_seconds: float,
+        rates: Optional[Tuple[float, ...]],
         residuals: Tuple[float, ...],
         gate_rel_ms: float,
     ) -> Tuple[EvaluationResult, ContendedOutcome]:
-        """One scalar walk over residual-seeded lanes (release-relative)."""
+        """One walk over residual-seeded lanes (release-relative).
+
+        ``rates`` is :meth:`_rates` at ``t_seconds``: the compiled walk reads
+        it, the dict walk samples the links itself.
+        """
         walk = self._walk
         state = walk.new_state()
         lanes = state.lanes
@@ -646,9 +662,14 @@ class ContentionAwareEvaluator:
         # The admission gate holds the requester's first transmission: the
         # image may not be sent before the gate opens.
         lanes.lane(REQUESTER, "send").free_at = gate_rel_ms
-        for assignment in plan.assignments:
-            walk.process_volume(state, assignment, t_seconds)
-        result = walk.finalize(state, plan, t_seconds)
+        if self._compiler is not None:
+            result = self._compiler.compiled_plan(plan).run(
+                state, rates, plan.method, record_wait=lanes.add_wait
+            )
+        else:
+            for assignment in plan.assignments:
+                walk.process_volume(state, assignment, t_seconds)
+            result = walk.finalize(state, plan, t_seconds)
         ends: List[float] = []
         busy: List[float] = []
         waits: List[float] = []
@@ -672,12 +693,11 @@ class ContentionAwareEvaluator:
         return result, outcome
 
     def _plan_signature(self, plan: DistributionPlan) -> Tuple:
-        sig = self._plan_sigs.get(id(plan))
-        if sig is None:
-            sig = plan_signature(plan)
-            self._plan_sigs[id(plan)] = sig
-            self._plan_refs[id(plan)] = plan
-        return sig
+        entry = self._plan_sigs.get(id(plan))
+        if entry is None or entry[0] is not plan:
+            entry = (plan, plan_signature(plan))
+            self._plan_sigs.put(id(plan), entry)
+        return entry[1]
 
     def _floors(self, release_ms: float) -> Tuple[Tuple[float, ...], float]:
         residuals = self.fleet.residuals(release_ms)
@@ -687,17 +707,17 @@ class ContentionAwareEvaluator:
     def _dispatch_key(
         self,
         plan: DistributionPlan,
-        t_seconds: float,
+        rates: Tuple[float, ...],
         residuals: Tuple[float, ...],
         gate_rel: float,
     ) -> Tuple:
-        return (
-            self._model_token(plan.model),
-            self._plan_signature(plan),
-            network_state_signature(self.network, t_seconds),
-            gate_rel,
-            residuals,
-        )
+        return (self._model_token(plan.model), self._plan_signature(plan), rates, gate_rel, residuals)
+
+    def _rates(self, t_seconds: float) -> Optional[Tuple[float, ...]]:
+        """The network-state signature, when the memo key or the walk needs it."""
+        if self._memo is None and self._compiler is None:
+            return None
+        return network_state_signature(self.network, t_seconds)
 
     # ------------------------------------------------------------------ #
     def predict(
@@ -718,19 +738,20 @@ class ContentionAwareEvaluator:
                 f"{self.fleet.num_devices}"
             )
         residuals, gate_rel = self._floors(release_ms)
+        rates = self._rates(t_seconds)
         outcome: Optional[ContendedOutcome] = None
         if self._memo is not None:
-            key = self._dispatch_key(plan, t_seconds, residuals, gate_rel)
+            key = self._dispatch_key(plan, rates, residuals, gate_rel)
             outcome = self._memo.get(key)
         prof = self.profiler
         if outcome is None:
             if prof.enabled:
                 walk_start = perf_counter()
-                _, outcome = self._schedule(plan, t_seconds, residuals, gate_rel)
+                _, outcome = self._schedule(plan, t_seconds, rates, residuals, gate_rel)
                 prof.add("contention.schedule_walk", perf_counter() - walk_start)
                 prof.count("contention.memo_miss")
             else:
-                _, outcome = self._schedule(plan, t_seconds, residuals, gate_rel)
+                _, outcome = self._schedule(plan, t_seconds, rates, residuals, gate_rel)
             if self._memo is not None:
                 self._memo.put(key, outcome)
         elif prof.enabled:
@@ -771,9 +792,10 @@ class ContentionAwareEvaluator:
                 f"{self.fleet.num_devices}"
             )
         residuals, gate_rel = self._floors(release_ms)
-        result, outcome = self._schedule(plan, t_seconds, residuals, gate_rel)
+        rates = self._rates(t_seconds)
+        result, outcome = self._schedule(plan, t_seconds, rates, residuals, gate_rel)
         if self._memo is not None:
-            self._memo.put(self._dispatch_key(plan, t_seconds, residuals, gate_rel), outcome)
+            self._memo.put(self._dispatch_key(plan, rates, residuals, gate_rel), outcome)
         self.fleet.commit(release_ms, outcome)
         return result, outcome
 

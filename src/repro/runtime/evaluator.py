@@ -64,13 +64,13 @@ class EvaluationResult:
     def ips(self) -> float:
         """Images per second under the paper's one-image-in-flight protocol.
 
-        Raises :class:`ValueError` on a non-positive latency: every real
-        inference pays at least the scatter and compute time, so a zero or
-        negative ``end_to_end_ms`` always indicates a corrupted result, and
-        silently returning ``inf`` (the old behaviour) poisoned downstream
+        Raises :class:`ValueError` on a non-positive or NaN latency: every
+        real inference pays at least the scatter and compute time, so a zero,
+        negative or NaN ``end_to_end_ms`` always indicates a corrupted result,
+        and silently returning ``inf`` or ``nan`` poisoned downstream
         aggregations like mean IPS and speedup-over-baseline ratios.
         """
-        if self.end_to_end_ms <= 0:
+        if not (self.end_to_end_ms > 0):
             raise ValueError(
                 f"cannot compute IPS from non-positive end_to_end_ms={self.end_to_end_ms!r}; "
                 "the evaluation result is corrupt"

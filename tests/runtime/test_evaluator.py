@@ -200,5 +200,10 @@ class TestIpsGuard:
         with pytest.raises(ValueError, match="non-positive"):
             self._result_with_latency(-5.0).ips
 
+    def test_nan_latency_raises(self):
+        # `nan <= 0` is False, so a `<= 0` guard let NaN through as IPS nan.
+        with pytest.raises(ValueError, match="non-positive"):
+            self._result_with_latency(float("nan")).ips
+
     def test_positive_latency_unchanged(self):
         assert self._result_with_latency(250.0).ips == pytest.approx(4.0)

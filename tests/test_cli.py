@@ -61,6 +61,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--model", "small_vgg", "--scenario", "DB", "--method", "coedge"],
+            ["evaluate", "plan.json"],
+            ["compare", "--scenario", "DB"],
+            ["serve", "--scenario", "DB", "--tenant", "coedge"],
+            ["analyze", "--scenario", "DB"],
+        ],
+        ids=["plan", "evaluate", "compare", "serve", "analyze"],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "fast"])
+    def test_bad_bandwidth_exits_cleanly(self, argv, value, capsys):
+        """Regression: 0/-1/nan raised a ValueError traceback deep in scenario
+        building, and inf was accepted as an infinite network."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--bandwidth={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --bandwidth" in err
+        assert "Traceback" not in err
+
+    def test_bandwidth_accepts_a_positive_rate(self):
+        args = build_parser().parse_args(["compare", "--bandwidth", "50.5"])
+        assert args.bandwidth == 50.5
+
 
 class TestCommands:
     def test_plan_baseline_and_evaluate_roundtrip(self, tmp_path, capsys):
