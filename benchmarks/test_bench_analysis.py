@@ -83,8 +83,7 @@ def test_bench_analysis_speed_and_exactness(benchmark):
     def run_traced():
         tracer = Tracer()
         report = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
-            tenants, duration_s=DURATION_S, mode="batched", engine="array",
-            tracer=tracer,
+            tenants, duration_s=DURATION_S, mode="batched", tracer=tracer,
         )
         # Materialising the canonical stream is part of the serving side:
         # --trace-json pays it on export, before any trace exists to read.

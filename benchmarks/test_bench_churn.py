@@ -4,8 +4,8 @@ The fault subsystem's gate: a 4-tenant open-loop workload on a generated
 16-device fleet is served through a seeded churn timeline — crashes, a
 graceful leave and a rejoin, timed to kill work in flight — once in
 ``reference`` mode (one scalar evaluation per request attempt, the
-semantics oracle) and once in ``batched`` mode, where the epoch-batched
-loop must bound its grouping at fault-event boundaries, resolve killed
+semantics oracle) and once in ``batched`` mode, where the array engine
+must bound its speculation windows at fault-event boundaries, resolve killed
 attempts through the retry policy on replanned survivor strategies, and
 still agree with the oracle float for float.
 

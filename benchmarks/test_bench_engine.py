@@ -1,22 +1,19 @@
-"""Array-engine benchmark: 100-tenant fleet, vectorised vs object event loop.
+"""Array-engine benchmark: 100-tenant fleet against the committed serve loop.
 
 The array engine's gate: a 100-tenant open-loop workload (tenants cycling
 the four baseline methods so plan-signature groups stay realistic while
 per-tenant bookkeeping dominates) on a generated 32-device fleet is driven
-once through the epoch-batched object loop (:class:`ServingSimulator` over
-``BatchPlanEvaluator`` with scalar :class:`TenantRuntime` bookkeeping) and
-once through the array engine (``engine="array"`` — NumPy column commits
-with epoch speculation).
+through the default batched loop — the array engine of
+:mod:`repro.serving.engine` (NumPy column commits with epoch speculation).
 
-The gate asserts the array engine's throughput is at least ``MIN_SPEEDUP``
-(10x) the committed ``BENCH_serve.json`` batched throughput — the event
-loop this engine supersedes, measured on its own gated workload — and that
-the two loops' reports here are bit-identical (the parity contract,
-re-checked on the gated workload itself).  When the committed serve
-baseline is missing the gate records a skip instead of enforcing against
-nothing.  The live object-loop ratio on this same workload is reported for
-context but not gated: at this scale both loops share the evaluator cost,
-so the small-run ratio is noisy.  Numbers land in ``BENCH_engine.json``
+The gate asserts its throughput is at least ``MIN_SPEEDUP`` (10x) the
+committed ``BENCH_serve.json`` batched throughput, the object event loop
+this engine superseded, measured on its own gated workload.  When the
+committed serve baseline is missing the gate records a skip instead of
+enforcing against nothing.  Bit-identity is not re-checked here: a
+reference run of this workload takes over a minute, so the engine's parity
+lives in ``test_bench_serve.py`` (same generated 32-device fleet) and
+``tests/serving/test_engine.py``.  Numbers land in ``BENCH_engine.json``
 via the shared :mod:`_gate` bookkeeping.
 """
 
@@ -33,7 +30,6 @@ from repro.experiments.scenarios import generate_scenario
 from repro.nn import model_zoo
 from repro.runtime.batch import BatchPlanEvaluator
 from repro.serving import SLO, PoissonArrivals, ServingSimulator, TenantSpec
-from repro.serving.simulator import assert_reports_equal
 
 NUM_DEVICES = 32
 NUM_TENANTS = 100
@@ -92,23 +88,14 @@ def test_bench_array_engine(benchmark):
     model = model_zoo.get(MODEL_NAME)
     tenants = _make_tenants(model, devices, network)
 
-    # Object loop: scalar per-tenant bookkeeping, fresh batch evaluator per
-    # round so the cold first epoch is included (no cross-round cache carry).
-    def run_object():
+    # Array engine: NumPy column commits + epoch speculation, fresh batch
+    # evaluator per round so the cold first epoch is included (no
+    # cross-round cache carry).
+    def run_array():
         simulator = ServingSimulator(BatchPlanEvaluator(devices, network))
         return simulator.run(tenants, duration_s=DURATION_S, mode="batched")
 
-    # Array engine: NumPy column commits + epoch speculation, same cold start.
-    def run_array():
-        simulator = ServingSimulator(BatchPlanEvaluator(devices, network))
-        return simulator.run(
-            tenants, duration_s=DURATION_S, mode="batched", engine="array"
-        )
-
-    t_object, object_report = _best_of(run_object)
     t_array, array_report = _best_of(run_array)
-
-    assert_reports_equal(array_report, object_report)
     completed = array_report.total_completed
     array_rps = completed / t_array
     serve_rps = _committed_serve_rps()
@@ -125,11 +112,8 @@ def test_bench_array_engine(benchmark):
         "epochs": array_report.epochs,
         "speculated": array_report.speculated,
         "rounds": ROUNDS,
-        "object_requests_per_s": completed / t_object,
         "array_requests_per_s": array_rps,
-        "live_object_over_array_ratio": t_object / t_array,
         "committed_serve_batched_requests_per_s": serve_rps,
-        "bit_identical": True,  # assert_reports_equal above would have raised
         "deadline_miss_rate": array_report.deadline_miss_rate,
         "min_speedup_gate": MIN_SPEEDUP,
     }

@@ -98,9 +98,7 @@ def test_bench_observability_overhead(benchmark):
     # Off: the default no-op hooks — must match the committed engine bench.
     def run_off():
         simulator = ServingSimulator(BatchPlanEvaluator(devices, network))
-        return simulator.run(
-            tenants, duration_s=DURATION_S, mode="batched", engine="array"
-        )
+        return simulator.run(tenants, duration_s=DURATION_S, mode="batched")
 
     # On: a live tracer and metrics registry attached to the same run.
     def run_on():
@@ -109,7 +107,6 @@ def test_bench_observability_overhead(benchmark):
             tenants,
             duration_s=DURATION_S,
             mode="batched",
-            engine="array",
             tracer=Tracer(),
             metrics=MetricsRegistry(),
         )

@@ -5,15 +5,16 @@ The serving subsystem's gate: a 4-tenant open-loop workload on a generated
 Table-III-scale cluster under Poisson traffic) is driven once through the
 naive per-request reference loop (one scalar
 :meth:`~repro.runtime.evaluator.PlanEvaluator.evaluate` call per request)
-and once through the epoch-batched loop
-(:class:`~repro.serving.simulator.ServingSimulator` over
-:class:`~repro.runtime.batch.BatchPlanEvaluator` — signature-grouped
-``evaluate_plans`` epochs with the plan LRU carrying steady-state traffic).
+and once through the batched loop — the array engine of
+:mod:`repro.serving.engine` over :class:`~repro.runtime.batch.BatchPlanEvaluator`
+(NumPy column commits, speculation windows and signature-grouped
+``evaluate_plans`` epochs).
 
 The gate asserts the batched event loop serves the workload at least
 ``MIN_SPEEDUP`` (5x) faster in wall time, and that the two loops' reports
 are bit-identical (the parity contract, re-checked here on the gated
-workload itself).  Like the OSDS gate, nothing here needs multiple cores,
+workload itself — the array engine's only bit-identity check on a
+generated 32-device fleet).  Like the OSDS gate, nothing here needs multiple cores,
 so the gate is enforced everywhere.  Numbers
 land in ``BENCH_serve.json`` via the shared :mod:`_gate` bookkeeping.
 """
@@ -81,7 +82,7 @@ def test_bench_serve_event_loop(benchmark):
         simulator = ServingSimulator(PlanEvaluator(devices, network))
         return simulator.run(tenants, duration_s=DURATION_S, mode="reference")
 
-    # Epoch-batched loop: fresh batch evaluator each round, so the measured
+    # Batched loop: fresh batch evaluator each round, so the measured
     # speedup includes the cold first epoch (no cross-round cache carry).
     def run_batched():
         simulator = ServingSimulator(BatchPlanEvaluator(devices, network))

@@ -16,8 +16,8 @@ Five subcommands cover the common workflows without writing Python:
 ``serve``
     Simulate multi-tenant open-loop serving: several methods' plans share one
     fleet under ``traffic:`` arrival processes with per-tenant SLOs, served
-    through the epoch-batched event loop of
-    :class:`~repro.serving.simulator.ServingSimulator`.
+    through the batched event loop of
+    :class:`~repro.serving.simulator.ServingSimulator` (the array engine).
 ``analyze``
     Attribute every request's critical-path latency to queue / gate /
     per-lane compute / send / recv / stall segments — from an exported
@@ -45,8 +45,8 @@ Examples
     python -m repro.cli serve --scenario DB --contention --discipline wfq \
         --weight 3 --weight 1 --max-inflight 4 --report-json serve.json
     python -m repro.cli serve --scenario DB --figure --figure-rates 0.5,1,2,4
-    python -m repro.cli serve --scenario gen:n=32,seed=7 --engine array \
-        --mode parity --duration 60
+    python -m repro.cli serve --scenario gen:n=32,seed=7 --mode parity \
+        --duration 60
     python -m repro.cli serve --scenario gen:n=16,seed=7 --duration 30 \
         --churn churn:crashes=2,seed=7 --retry-max 3 --degrade-min-live 0.5
     python -m repro.cli serve --scenario DB --contention --alerts \
@@ -87,14 +87,25 @@ def _parse_device_specs(specs: Sequence[str]) -> List[tuple]:
     return out
 
 
-def _bandwidth_mbps(text: str) -> float:
-    """argparse type of ``--bandwidth``: a finite link rate in Mbps, > 0."""
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (bandwidths, durations, rates, deadlines)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite rate > 0 Mbps, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (slot counts, queue capacities)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -576,7 +587,6 @@ def _cmd_serve_plan_capacity(
         duration_s=args.duration,
         policy=policy,
         weight=weights,
-        engine=args.engine,
         slots=args.slots or 1,
         faults=faults,
         retry=retry,
@@ -640,7 +650,6 @@ def _cmd_serve_autoscale(
         queue_capacity=None,
         policy=policy,
         weight=weights,
-        engine=args.engine,
         slots=args.slots or 1,
         faults=faults,
         retry=retry,
@@ -806,29 +815,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tenants,
             duration_s=args.duration,
             policy=policy,
-            engine=args.engine,
             faults=faults,
             retry=retry,
             degradation=degradation,
             tracer=tracer,
         )
-        print(
-            f"parity: {args.engine} engine batched loop is bit-identical "
-            "to the reference loop"
-        )
+        print("parity: batched loop is bit-identical to the reference loop")
         if metrics is not None:
             # run_with_parity returns the committed report; derive the
             # registry from it exactly as ServingSimulator.run would.
             record_serving_report(metrics, report)
     else:
-        if args.engine == "array" and args.mode == "reference":
-            print(
-                "--engine array has no reference mode; the reference loop "
-                "is the object-engine oracle (use --mode parity to check "
-                "the array engine against it)",
-                file=sys.stderr,
-            )
-            return 2
         simulator = ServingSimulator(evaluator)
         if profiler is not None:
             simulator.profiler = profiler
@@ -837,7 +834,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             duration_s=args.duration,
             mode=args.mode,
             policy=policy,
-            engine=args.engine,
             faults=faults,
             retry=retry,
             degradation=degradation,
@@ -932,7 +928,6 @@ def _analyze_inline_run(args: argparse.Namespace):
         tenants,
         duration_s=args.duration,
         policy=policy,
-        engine=args.engine,
         faults=faults,
         retry=retry,
         tracer=tracer,
@@ -1003,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "like gen:n=32,seed=7,bw=50-300,types=mixed; "
                               "catalogue Table-I groups default to 200 Mbps "
                               "(override with --bandwidth)")
-    p_plan.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
+    p_plan.add_argument("--bandwidth", type=_positive_float, default=None,
                         help="re-shape every link of a catalogue --scenario "
                              "to this rate in Mbps")
     p_plan.add_argument("--method", default="distredge",
@@ -1029,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved plan")
     p_eval.add_argument("plan", help="path to a plan JSON file")
-    p_eval.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
+    p_eval.add_argument("--bandwidth", type=_positive_float, default=None,
                         help="override every provider's bandwidth (Mbps); with "
                              "--scenario, re-shapes a catalogue scenario's links "
                              "instead (same semantics as plan/compare)")
@@ -1047,7 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--scenario", default="DB",
                          help="catalogue name or gen: spec (same resolution as "
                               "plan/compare)")
-    p_serve.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
+    p_serve.add_argument("--bandwidth", type=_positive_float, default=None,
                          help="re-shape every link of a catalogue --scenario (Mbps)")
     p_serve.add_argument("--tenant", action="append", dest="tenants",
                          metavar="METHOD[@MODEL]",
@@ -1061,27 +1056,21 @@ def build_parser() -> argparse.ArgumentParser:
                               "shared (e.g. traffic:poisson,rate=5 or "
                               "traffic:mmpp,low=1,high=20); default: Poisson at "
                               "--rate with per-tenant seeds")
-    p_serve.add_argument("--rate", type=float, default=2.0,
+    p_serve.add_argument("--rate", type=_positive_float, default=2.0,
                          help="default Poisson arrival rate (req/s) when no "
                               "--traffic is given")
-    p_serve.add_argument("--deadline-ms", action="append", type=float, default=None,
+    p_serve.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
                          help="repeatable per-tenant SLO deadline (ms); default 1000")
-    p_serve.add_argument("--queue-capacity", action="append", type=int, default=None,
+    p_serve.add_argument("--queue-capacity", action="append", type=_positive_int, default=None,
                          help="repeatable per-tenant admission bound (waiting "
                               "requests); default unbounded")
-    p_serve.add_argument("--duration", type=float, default=30.0,
+    p_serve.add_argument("--duration", type=_positive_float, default=30.0,
                          help="open-loop arrival horizon (simulated seconds)")
     p_serve.add_argument("--mode", choices=["batched", "reference", "parity"],
                          default="batched",
-                         help="event loop: epoch-batched (default), naive "
-                              "per-request reference, or parity (run both and "
-                              "assert bit-identical)")
-    p_serve.add_argument("--engine", choices=["object", "array"], default="object",
-                         help="execution engine: per-tenant object loops "
-                              "(default) or the vectorised array time-wheel "
-                              "(bit-identical results, ~10x faster on large "
-                              "fleets; with --mode parity the array engine is "
-                              "checked against the scalar reference loop)")
+                         help="event loop: batched array engine (default), "
+                              "naive per-request reference, or parity (run "
+                              "both and assert bit-identical)")
     p_serve.add_argument("--episodes", type=int, default=50,
                          help="OSDS episodes for distredge tenants")
     p_serve.add_argument("--seed", type=int, default=0)
@@ -1101,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--weight", action="append", type=float, default=None,
                          help="repeatable per-tenant WFQ fair-share weight "
                               "(with --contention --discipline wfq); default 1")
-    p_serve.add_argument("--slots", action="append", type=int, default=None,
+    p_serve.add_argument("--slots", action="append", type=_positive_int, default=None,
                          help="repeatable per-tenant service-slot count "
                               "(within-tenant concurrency); default 1, the "
                               "paper's one-image-in-flight protocol")
@@ -1209,7 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "run to PATH (open in Perfetto / "
                               "chrome://tracing, or feed to repro analyze); "
                               "simulated-clock, deterministic, identical "
-                              "across engines and modes, stamped with the "
+                              "across modes, stamped with the "
                               "same provenance block as --report-json; with "
                               "--plan-capacity/--autoscale, the control-plane "
                               "probe/window timeline instead")
@@ -1281,7 +1270,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="catalogue name or gen: spec for an inline run "
                            "(same resolution as serve); ignored with "
                            "--trace-json")
-    p_an.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
+    p_an.add_argument("--bandwidth", type=_positive_float, default=None,
                       help="re-shape every link of a catalogue --scenario (Mbps)")
     p_an.add_argument("--tenant", action="append", dest="tenants",
                       metavar="METHOD[@MODEL]",
@@ -1292,18 +1281,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--traffic", action="append", default=None,
                       help="repeatable traffic: spec as in serve; default: "
                            "Poisson at --rate with per-tenant seeds")
-    p_an.add_argument("--rate", type=float, default=2.0,
+    p_an.add_argument("--rate", type=_positive_float, default=2.0,
                       help="default Poisson arrival rate (req/s)")
-    p_an.add_argument("--deadline-ms", action="append", type=float, default=None,
+    p_an.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
                       help="repeatable per-tenant SLO deadline (ms); default 1000")
-    p_an.add_argument("--duration", type=float, default=30.0,
+    p_an.add_argument("--duration", type=_positive_float, default=30.0,
                       help="open-loop arrival horizon (simulated seconds)")
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--episodes", type=int, default=50,
                       help="OSDS episodes for distredge tenants")
-    p_an.add_argument("--engine", choices=["object", "array"], default="object",
-                      help="execution engine for the inline run (the "
-                           "attribution is engine-invariant)")
     p_an.add_argument("--contention", action="store_true",
                       help="model shared-fleet lane contention, as in serve "
                            "(lane attribution needs it to show waiting)")
@@ -1337,7 +1323,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="catalogue name (DA..DC, NA-nano.., LA..LD, homog-nano, "
                             "dynamic-nano) or gen:... spec; same resolution as plan "
                             "(Table-I groups default to 200 Mbps)")
-    p_cmp.add_argument("--bandwidth", type=_bandwidth_mbps, default=None,
+    p_cmp.add_argument("--bandwidth", type=_positive_float, default=None,
                        help="re-shape every link of a catalogue --scenario to this "
                             "rate in Mbps; not applicable to gen: scenarios")
     p_cmp.add_argument("--model", default="vgg16", choices=model_zoo.list_models())

@@ -289,7 +289,6 @@ class ExperimentHarness:
         mode: str = "batched",
         policy: Optional[ClusterPolicy] = None,
         weight: Union[float, Sequence[float]] = 1.0,
-        engine: str = "object",
         slots: Union[int, Sequence[int]] = 1,
         schedule_memo: Optional[LRUCache] = None,
         faults: Optional[Union[str, FaultTrace, ChurnSpec]] = None,
@@ -304,9 +303,7 @@ class ExperimentHarness:
         single *seed*, i.e. identical arrival times for every tenant).
         Evaluation routes through :meth:`evaluator_for`.  ``policy``
         switches on shared-fleet lane contention with the given cross-tenant
-        dispatch discipline; ``engine="array"`` routes the run through the
-        vectorised serving engine of :mod:`repro.serving.engine`
-        (bit-identical results).
+        dispatch discipline.
         Plans are cached per (method, scenario, model) within the harness,
         so load sweeps re-plan each tenant once, not once per point.
         ``slots`` sets within-tenant concurrency (broadcast like ``weight``)
@@ -373,7 +370,6 @@ class ExperimentHarness:
             duration_s=duration_s,
             mode=mode,
             policy=policy,
-            engine=engine,
             schedule_memo=schedule_memo,
             faults=faults,
             retry=retry,
@@ -394,7 +390,6 @@ class ExperimentHarness:
         duration_s: float = 30.0,
         policy: Optional[ClusterPolicy] = None,
         weight: Union[float, Sequence[float]] = 1.0,
-        engine: str = "object",
         slots: Union[int, Sequence[int]] = 1,
         share_schedule_memo: bool = True,
         faults: Optional[Union[str, ChurnSpec]] = None,
@@ -451,7 +446,6 @@ class ExperimentHarness:
                 mode="batched",
                 policy=policy,
                 weight=weight,
-                engine=engine,
                 slots=slots,
                 schedule_memo=memo,
                 faults=faults,
@@ -475,7 +469,6 @@ class ExperimentHarness:
         queue_capacity: Optional[int] = None,
         policy: Optional[ClusterPolicy] = None,
         weight: Union[float, Sequence[float]] = 1.0,
-        engine: str = "object",
         slots: Union[int, Sequence[int]] = 1,
         faults: Optional[Union[str, ChurnSpec]] = None,
         retry: Optional[RetryPolicy] = None,
@@ -543,7 +536,6 @@ class ExperimentHarness:
                 mode="batched",
                 policy=policy,
                 weight=weight,
-                engine=engine,
                 slots=slots,
                 faults=faults,
                 retry=retry,

@@ -242,29 +242,37 @@ class BatchPlanEvaluator(PlanEvaluator):
         return self.evaluate_plans([plan], t_seconds)[0]
 
     def evaluate_plans(
-        self, plans: Sequence[DistributionPlan], t_seconds: float = 0.0
+        self,
+        plans: Sequence[DistributionPlan],
+        t_seconds: float = 0.0,
+        rates: Optional[Tuple[float, ...]] = None,
     ) -> List[EvaluationResult]:
         """Evaluate a batch of plans, vectorising across plans per group.
 
         Plans may mix models and partition schemes: the batch is grouped by
         (model, boundaries) and each group is scheduled as one array program.
         Results come back in input order.  Cached results are reused and new
-        results are cached.
+        results are cached.  ``rates`` is
+        ``network_state_signature(self.network, t_seconds)`` when the caller
+        has already sampled it (the results are identical either way).
         """
         prof = self.profiler
         if not prof.enabled:
-            return self._evaluate_plans_impl(plans, t_seconds)
+            return self._evaluate_plans_impl(plans, t_seconds, rates)
         hits_before = self._plan_cache.hits
         start = perf_counter()
         try:
-            return self._evaluate_plans_impl(plans, t_seconds)
+            return self._evaluate_plans_impl(plans, t_seconds, rates)
         finally:
             prof.add("batch.evaluate_plans", perf_counter() - start)
             prof.count("batch.plans", len(plans))
             prof.count("batch.plan_cache_hits", self._plan_cache.hits - hits_before)
 
     def _evaluate_plans_impl(
-        self, plans: Sequence[DistributionPlan], t_seconds: float = 0.0
+        self,
+        plans: Sequence[DistributionPlan],
+        t_seconds: float,
+        rates: Optional[Tuple[float, ...]],
     ) -> List[EvaluationResult]:
         n = len(self.devices)
         for plan in plans:
@@ -274,7 +282,7 @@ class BatchPlanEvaluator(PlanEvaluator):
                 )
         if not plans:
             return []
-        net_sig = network_state_signature(self.network, t_seconds)
+        net_sig = network_state_signature(self.network, t_seconds) if rates is None else rates
         results: List[Optional[EvaluationResult]] = [None] * len(plans)
         keys: List[Tuple] = []
         groups: Dict[Tuple, List[int]] = {}

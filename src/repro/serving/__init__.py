@@ -13,16 +13,15 @@ cluster.  This package adds the traffic-facing layer the ROADMAP's
   deadline-slack / weighted-fair-queueing disciplines and cluster-wide
   concurrency caps for shared-fleet contention
   (:mod:`repro.runtime.contention`).
-* :mod:`repro.serving.simulator` — the serving event loop: epoch-batched
-  ``(requests, devices)`` sweeps through
-  :class:`~repro.runtime.batch.BatchPlanEvaluator`, bit-identical to a
-  naive per-request reference loop (asserted by :func:`run_with_parity`),
-  reporting throughput, latency percentiles, deadline-miss rates and
-  queue-depth series per tenant.
-* :mod:`repro.serving.engine` — the array-native serving engine
-  (``engine="array"``): per-tenant NumPy request columns driven by a
-  vectorised time-wheel with slot pools and epoch speculation, bit-exact
-  against the reference loop via the same parity contract.
+* :mod:`repro.serving.simulator` — the serving front end: a naive
+  per-request reference loop, the contended loop, and the report
+  (throughput, latency percentiles, deadline-miss rates and queue-depth
+  series per tenant); :func:`run_with_parity` asserts every batched run
+  bit-identical to the reference loop.
+* :mod:`repro.serving.engine` — the batched loop of independent serving:
+  per-tenant NumPy request columns driven by a vectorised time-wheel with
+  slot pools and epoch speculation, evaluated through
+  :class:`~repro.runtime.batch.BatchPlanEvaluator`.
 * :mod:`repro.serving.control` — the predictive control plane: deny-at-
   admission (``ClusterPolicy(admission="predictive")``), the between-windows
   fleet autoscaler and the binary-search capacity planner, all built on the
@@ -68,7 +67,6 @@ from repro.runtime.faults import (
 )
 from repro.serving.engine import ArrayServingEngine, vectorizable
 from repro.serving.simulator import (
-    ENGINES,
     MODES,
     ParityMismatch,
     ServingReport,
@@ -92,7 +90,6 @@ from repro.serving.traffic import (
 __all__ = [
     "ADMISSION_MODES",
     "DISCIPLINES",
-    "ENGINES",
     "MODES",
     "PREDICTED_MISS_ACTIONS",
     "ClusterPolicy",

@@ -1,10 +1,10 @@
-"""Array-native serving engine: a vectorised tenant time-wheel.
+"""Array-native serving engine: the batched loop of independent serving.
 
-The object event loops of :class:`~repro.serving.simulator.ServingSimulator`
-batch *evaluations* but still run the admit/queue/deadline bookkeeping as
-per-request Python over :class:`~repro.serving.tenants.TenantRuntime`
-objects — at thousands of tenants or millions of arrivals the orchestration
-itself becomes the wall (the same wall OSDS hit before the
+:class:`~repro.serving.simulator.ServingSimulator` runs every
+contention-free ``mode="batched"`` run here.  Its reference loop walks each
+tenant's :class:`~repro.serving.tenants.TenantRuntime` request by request —
+at thousands of tenants or millions of arrivals that per-request Python
+bookkeeping is the wall (the same wall OSDS hit before the
 ``BatchVolumeScheduler`` extract-and-vectorise move).  This module rewrites
 the tenant chain as **structured NumPy column arrays** — per-tenant
 ``(requests,)`` columns for arrival, start, completion, latency, response,
@@ -30,7 +30,9 @@ Three ideas make it exact *and* fast:
   for the next ``window`` requests, commits them in one scan, then verifies
   every speculated start against one vectorised signature matrix
   (:func:`~repro.runtime.batch.network_state_signatures`) and discards the
-  mis-speculated tail — exactly like the OSDS round tails.  On a provably
+  mis-speculated tail — exactly like the OSDS round tails.  The first
+  mismatching row *is* the next head's signature, so the head is evaluated
+  at that rate vector without sampling the network again.  On a provably
   static network (:attr:`NetworkModel.is_static`) verification is skipped
   and the whole remaining timeline commits in a single scan.
 * **Slot pools.**  Within-tenant concurrency
@@ -43,8 +45,9 @@ Tenants the columns cannot express exactly — adaptation hooks (the plan may
 change mid-stream) and open-loop queue-capacity admission (a per-event
 decision against the live queue depth) — fall back to their scalar
 :class:`TenantRuntime` chain *inside* the engine's epoch loop, sharing its
-signature groups and evaluation batches, so mixed workloads stay correct
-and only the tenants that need the slow path pay for it.
+signature groups and evaluation batches and memoizing latencies in the
+runtime's plan cache, so mixed workloads stay correct and only the tenants
+that need the slow path pay for it.
 
 Fleet churn (:mod:`repro.runtime.faults`) rides the same machinery: the
 fault-aware loop bounds every speculation window at the next membership
@@ -53,18 +56,20 @@ fits strictly inside the current liveness segment — and a head request
 crossing that barrier is rolled back and resolved through the shared scalar
 retry-chain walk (:func:`~repro.runtime.faults.resolve_faulted_request`),
 so mid-inference crashes, retries and abandonments land bit-identically to
-the reference loop's verdicts.
+the reference loop's verdicts.  Each head is evaluated on its own: under
+churn the effective plans rarely share a group, and a compiled singleton
+walk beats a 2–4 plan array sweep.
 
 Shared-fleet contention (a :class:`~repro.serving.dispatch.ClusterPolicy`)
 keeps its canonical sequential dispatch order by construction — the
-simulator routes contended array runs through the contended loop over the
+simulator routes contended runs through its contended loop over the
 vectorised :class:`~repro.runtime.contention.SharedFleetState` residuals.
 
-``run_with_parity(..., engine="array")`` asserts bit-identity of all of
-this against the naive per-request reference loop.  Where this engine sits
-relative to the simulator's object loops, the contention layer and the
-control plane — and the parity contract binding every fast path to its
-reference loop — is drawn in ``docs/architecture.md``.
+:func:`~repro.serving.simulator.run_with_parity` asserts bit-identity of
+all of this against the naive per-request reference loop.  Where this
+engine sits relative to the simulator, the contention layer and the control
+plane — and the parity contract binding every fast path to its reference
+loop — is drawn in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -77,16 +82,13 @@ import numpy as np
 
 from repro.obs.profile import NULL_PROFILER
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.batch import (
-    network_state_signature,
-    network_state_signatures,
-    plan_signature,
-)
+from repro.runtime.batch import network_state_signature, network_state_signatures
 from repro.runtime.faults import (
     FaultContext,
     emit_resolution,
     resolve_faulted_request,
 )
+from repro.runtime.plan import DistributionPlan
 from repro.serving.tenants import TenantReport, TenantRuntime, TenantSpec
 from repro.utils.cache import LRUCache
 
@@ -97,8 +99,10 @@ from repro.utils.cache import LRUCache
 #: never to wrong answers.
 MIN_SPECULATION = 4
 
-#: Default cap of the adaptive speculation window.
-DEFAULT_SPECULATION = 64
+#: Cap of the adaptive speculation window.
+MAX_SPECULATION = 64
+
+Signature = Tuple[float, ...]
 
 
 def vectorizable(spec: TenantSpec) -> bool:
@@ -159,11 +163,12 @@ class _VectorTenant:
         # Slot pool min-heap (equal entries form a valid heap without heapify).
         self.slots: List[float] = [self.start_s] * spec.slots
         self.window = MIN_SPECULATION
-        #: Per-tenant latency memo: network-state signature -> latency_ms
-        #: (the plan is fixed on this path, so the signature is the key).
-        #: Under churn the key widens to ``(id(effective_plan), signature)``
-        #: — failover plans are cached per live set by the PlanDegrader, so
-        #: the identity is stable.
+        #: Network-state signature of the next head when the last window's
+        #: verifier already sampled it (its first mismatching row), else None.
+        self.next_signature: Optional[Signature] = None
+        #: Per-tenant latency memo keyed ``(id(plan), signature)``: the plan
+        #: is the tenant's own, or under churn a failover plan, which the
+        #: PlanDegrader caches per live set — so the identity is stable.
         self.memo = LRUCache(256)
         # Fault-resolution outcomes (churn runs only; empty otherwise).
         self.abandoned_rows: List[int] = []
@@ -249,13 +254,19 @@ class _VectorTenant:
         self.committed = j
         return j - i
 
+    def cached_latency(self, plan: DistributionPlan, signature: Signature) -> Optional[float]:
+        return self.memo.get((id(plan), signature))
+
+    def cache_latency(self, plan: DistributionPlan, signature: Signature, latency_ms: float) -> None:
+        self.memo.put((id(plan), signature), latency_ms)
+
     def advance(
         self,
         latency_ms: float,
-        signature: Tuple[float, ...],
+        signature: Signature,
         static: bool,
         network,
-        max_window: int,
+        trace=None,
     ) -> int:
         """Commit one speculation window; returns how many requests landed.
 
@@ -264,54 +275,13 @@ class _VectorTenant:
         the whole remaining timeline commits; otherwise the window's starts
         are verified against the assumed signature with one vectorised
         matrix comparison and the mis-speculated tail is rolled back and
-        discarded.
-        """
-        remaining = self.capacity - self.committed
-        i0 = self.committed
-        if static:
-            count = self._scan(remaining, latency_ms)
-            self.lats[i0:i0 + count] = latency_ms
-            return count
-        window = min(self.window, remaining)
-        snapshot = (self.committed, list(self.slots), self.truncated)
-        count = self._scan(window, latency_ms)
-        rows = network_state_signatures(network, self.starts[i0:i0 + count])
-        mismatch = (rows != np.asarray(signature)).any(axis=1)
-        ok = int(np.argmax(mismatch)) if bool(mismatch.any()) else count
-        if ok == 0:  # pragma: no cover - peek/scan compute the same start
-            raise RuntimeError(
-                f"tenant {self.spec.name!r}: speculation verifier rejected the "
-                "evaluated head request — signature sampling drifted"
-            )
-        if ok < count:
-            # Discard the mis-speculated tail: restore the slot pool and
-            # replay only the verified prefix (identical floats by purity).
-            self.committed, self.slots, self.truncated = snapshot
-            self._scan(ok, latency_ms)
-            self.window = max(MIN_SPECULATION, self.window // 2)
-            self.rollbacks += 1
-        else:
-            self.window = min(max_window, self.window * 2)
-        count = self.committed - i0
-        self.lats[i0:i0 + count] = latency_ms
-        return count
+        discarded.  The first rolled-back row is the next head's signature,
+        kept in :attr:`next_signature`.
 
-    # ------------------------------------------------------------------ #
-    def advance_faulted(
-        self,
-        latency_ms: float,
-        signature: Tuple[float, ...],
-        static: bool,
-        network,
-        max_window: int,
-        trace,
-    ) -> int:
-        """:meth:`advance` on a churning fleet; returns how many landed.
-
-        The speculation window gains a second verifier: a request may only
-        commit speculatively when it *starts* strictly before the next
-        membership event and *completes* at or before it (a crash exactly at
-        the completion tick does not kill — the open-interval rule of
+        On a churning fleet (``trace``) a request may only commit
+        speculatively when it *starts* strictly before the next membership
+        event and *completes* at or before it (a crash exactly at the
+        completion tick does not kill — the open-interval rule of
         :meth:`FaultTrace.first_crash_touching`).  Inside such a window the
         live set, the effective plan and the crash verdict ("none") are
         constant, so the scalar retry-chain walk would resolve every request
@@ -322,18 +292,17 @@ class _VectorTenant:
         """
         remaining = self.capacity - self.committed
         i0 = self.committed
-        t_next = self.peek_start()
-        barrier_ms = trace.next_event_after(t_next * 1000.0)
+        barrier_ms = None if trace is None else trace.next_event_after(self.peek_start() * 1000.0)
         window = remaining if static else min(self.window, remaining)
         snapshot = (self.committed, list(self.slots), self.truncated)
         count = self._scan(window, latency_ms)
         starts = self.starts[i0:i0 + count]
-        if static:
-            ok = count
-        else:
+        ok = count
+        if not static:
             rows = network_state_signatures(network, starts)
             mismatch = (rows != np.asarray(signature)).any(axis=1)
-            ok = int(np.argmax(mismatch)) if bool(mismatch.any()) else count
+            if mismatch.any():
+                ok = int(np.argmax(mismatch))
             if ok == 0:  # pragma: no cover - peek/scan compute the same start
                 raise RuntimeError(
                     f"tenant {self.spec.name!r}: speculation verifier rejected the "
@@ -350,14 +319,19 @@ class _VectorTenant:
                 int(np.searchsorted(starts_ms + latency_ms, barrier_ms, side="right")),
             )
             ok = min(ok, fault_ok)
+        self.next_signature = None
         if ok < count:
+            # Discard the mis-speculated tail: restore the slot pool and
+            # replay only the verified prefix (identical floats by purity),
+            # which puts the next head at the start the scan gave row ``ok``.
             self.committed, self.slots, self.truncated = snapshot
-            if ok:
-                self._scan(ok, latency_ms)
+            self._scan(ok, latency_ms)
             self.window = max(MIN_SPECULATION, self.window // 2)
             self.rollbacks += 1
+            if not static:
+                self.next_signature = tuple(rows[ok].tolist())
         elif not static:
-            self.window = min(max_window, self.window * 2)
+            self.window = min(MAX_SPECULATION, self.window * 2)
         count = self.committed - i0
         self.lats[i0:i0 + count] = latency_ms
         return count
@@ -373,6 +347,7 @@ class _VectorTenant:
         completion columns at report time.
         """
         self.num_lost_attempts += resolved.lost_attempts
+        self.next_signature = None
         j = self.committed
         if resolved.status == "completed":
             self._scan(1, resolved.latency_ms)
@@ -503,18 +478,12 @@ class ArrayServingEngine:
 
     Constructed on the same batch-capable evaluator as the simulator
     (:class:`~repro.runtime.batch.BatchPlanEvaluator`).  Use it via
-    ``ServingSimulator.run(..., engine="array")`` — the simulator performs
-    the argument validation and wraps the outcome in a
-    :class:`~repro.serving.simulator.ServingReport`.
+    ``ServingSimulator.run`` — every batched run without a cluster policy
+    lands here, after the simulator has validated the arguments.
     """
 
-    def __init__(self, evaluator, speculation: int = DEFAULT_SPECULATION) -> None:
-        if speculation < MIN_SPECULATION:
-            raise ValueError(
-                f"speculation must be >= {MIN_SPECULATION}, got {speculation}"
-            )
+    def __init__(self, evaluator) -> None:
         self.evaluator = evaluator
-        self.speculation = int(speculation)
         self.profiler = NULL_PROFILER
 
     def run(
@@ -522,64 +491,81 @@ class ArrayServingEngine:
         tenants: Sequence[TenantSpec],
         duration_s: Optional[float] = None,
         start_s: float = 0.0,
-        mode: str = "batched",
         fault_ctx: Optional[FaultContext] = None,
         tracer: Optional[Tracer] = None,
     ):
         """Run the array time-wheel; returns a ``ServingReport``.
 
-        ``mode`` is recorded in the report for symmetry with the object
-        loops; the engine itself has a single (batched) execution strategy.
         ``fault_ctx`` (built by the simulator) switches on fleet churn: the
         run moves to the fault-aware epoch loop, whose speculation windows
         are additionally bounded by the fault trace's membership events.
         """
         from repro.serving.simulator import ServingReport  # circular at module load
 
-        tracer = NULL_TRACER if tracer is None else tracer
-        if fault_ctx is not None:
-            return self._run_faulted(
-                tenants, duration_s, start_s, mode, fault_ctx, tracer
-            )
-
         prof = self.profiler
         run_start = perf_counter() if prof.enabled else 0.0
         network = self.evaluator.network
-        static = network.is_static
-        static_sig = network_state_signature(network, start_s) if static else None
-
+        static_sig = network_state_signature(network, start_s) if network.is_static else None
         vectors: List[Optional[_VectorTenant]] = []
         runtimes: List[Optional[TenantRuntime]] = []
-        for spec in tenants:
+        for i, spec in enumerate(tenants):
+            shed = None
+            if fault_ctx is not None and fault_ctx.shed_intervals[i]:
+                shed = list(fault_ctx.shed_intervals[i])
             if vectorizable(spec):
-                vectors.append(_VectorTenant(spec, start_s, duration_s))
+                vectors.append(_VectorTenant(spec, start_s, duration_s, shed_intervals=shed))
                 runtimes.append(None)
             else:
                 vectors.append(None)
-                runtimes.append(TenantRuntime(spec, start_s, duration_s))
+                runtimes.append(TenantRuntime(spec, start_s, duration_s, shed_intervals=shed))
+        if fault_ctx is None:
+            epochs, cache_hits, speculated = self._epochs(vectors, runtimes, static_sig)
+        else:
+            epochs, cache_hits, speculated = self._epochs_faulted(
+                vectors, runtimes, static_sig, fault_ctx,
+                NULL_TRACER if tracer is None else tracer,
+            )
+        reports = [
+            vector.report() if vector is not None else runtime.report()
+            for vector, runtime in zip(vectors, runtimes)
+        ]
+        if prof.enabled:
+            section = "engine.run" if fault_ctx is None else "engine.run_faulted"
+            prof.add(section, perf_counter() - run_start)
+            prof.count("engine.epochs", epochs)
+            prof.count("engine.cache_hits", cache_hits)
+            prof.count("engine.speculated", speculated)
+            prof.count(
+                "engine.rollbacks",
+                sum(v.rollbacks for v in vectors if v is not None),
+            )
+        return ServingReport(
+            tenants=reports,
+            start_s=start_s,
+            duration_s=duration_s,
+            mode="batched",
+            epochs=epochs,
+            evaluator_kind=type(self.evaluator).__name__,
+            cache_hits=cache_hits,
+            speculated=speculated,
+        )
 
-        epochs = 0
-        cache_hits = 0
-        speculated = 0
-        # Plan signatures memoized by object identity (fallback chains may
-        # swap plans via hooks; the dict also pins ids against recycling).
-        plan_sigs: Dict[int, Tuple] = {}
-        plan_refs: Dict[int, object] = {}
-
-        def sig_of(plan) -> Tuple:
-            sig = plan_sigs.get(id(plan))
-            if sig is None:
-                sig = plan_signature(plan)
-                plan_sigs[id(plan)] = sig
-                plan_refs[id(plan)] = plan
-            return sig
-
+    def _epochs(
+        self,
+        vectors: List[Optional[_VectorTenant]],
+        runtimes: List[Optional[TenantRuntime]],
+        static_sig: Optional[Signature],
+    ) -> Tuple[int, int, int]:
+        """The epoch time-wheel; returns ``(epochs, cache_hits, speculated)``."""
+        network = self.evaluator.network
+        static = static_sig is not None
+        epochs = cache_hits = speculated = 0
         while True:
             # Phase 1: every active tenant declares its next evaluation need
             # (fallback dispatches whose latency is already cached commit
             # right here — still progress, hence the ``dispatched`` flag).
-            groups: Dict[Tuple[float, ...], List[Tuple]] = {}
-            ready: List[Tuple[_VectorTenant, Tuple[float, ...], float]] = []
+            groups: Dict[Signature, List[Tuple]] = {}
+            ready: List[Tuple[_VectorTenant, Signature, float]] = []
             dispatched = False
             for vector, runtime in zip(vectors, runtimes):
                 if vector is not None:
@@ -587,12 +573,15 @@ class ArrayServingEngine:
                         continue
                     dispatched = True
                     t_next = vector.peek_start()
+                    plan = vector.spec.plan
                     signature = (
-                        static_sig if static else network_state_signature(network, t_next)
+                        static_sig
+                        or vector.next_signature
+                        or network_state_signature(network, t_next)
                     )
-                    latency = vector.memo.get(signature)
+                    latency = vector.cached_latency(plan, signature)
                     if latency is None:
-                        groups.setdefault(signature, []).append((vector, t_next))
+                        groups.setdefault(signature, []).append((vector, plan, t_next))
                     else:
                         cache_hits += 1
                         ready.append((vector, signature, latency))
@@ -603,84 +592,44 @@ class ArrayServingEngine:
                 if dispatch is None:
                     continue
                 dispatched = True
-                signature = (
-                    static_sig
-                    if static
-                    else network_state_signature(network, dispatch.start_s)
-                )
-                key = (id(dispatch.plan.model), sig_of(dispatch.plan), signature)
-                cached = runtime.cached_latency(key)
+                signature = static_sig or network_state_signature(network, dispatch.start_s)
+                cached = runtime.cached_latency(dispatch.plan, signature)
                 if cached is not None:
                     cache_hits += 1
                     runtime.commit(cached)
                 else:
-                    groups.setdefault(signature, []).append((runtime, dispatch, key))
+                    groups.setdefault(signature, []).append(
+                        (runtime, dispatch.plan, dispatch.start_s)
+                    )
             if not dispatched:
                 break
             epochs += 1
-            # Phase 2: one vectorised evaluation per distinct network state.
+            # Phase 2: one vectorised evaluation per distinct network state,
+            # at the rate vector phase 1 sampled.
             for signature, members in groups.items():
-                plans = []
-                for member in members:
-                    if isinstance(member[0], _VectorTenant):
-                        plans.append(member[0].spec.plan)
-                    else:
-                        plans.append(member[1].plan)
-                t_rep = members[0][1] if isinstance(members[0][0], _VectorTenant) else (
-                    members[0][1].start_s
+                results = self.evaluator.evaluate_plans(
+                    [plan for _, plan, _ in members], t_seconds=members[0][2], rates=signature
                 )
-                results = self.evaluator.evaluate_plans(plans, t_seconds=t_rep)
-                for member, result in zip(members, results):
+                for (owner, plan, _), result in zip(members, results):
                     latency = result.end_to_end_ms
-                    if isinstance(member[0], _VectorTenant):
-                        vector = member[0]
-                        vector.memo.put(signature, latency)
-                        ready.append((vector, signature, latency))
+                    owner.cache_latency(plan, signature, latency)
+                    if isinstance(owner, TenantRuntime):
+                        owner.commit(latency)
                     else:
-                        runtime, dispatch, key = member
-                        runtime.cache_latency(key, dispatch.plan.model, latency)
-                        runtime.commit(latency)
+                        ready.append((owner, signature, latency))
             # Phase 3: column tenants commit their speculation windows.
             for vector, signature, latency in ready:
-                landed = vector.advance(
-                    latency, signature, static, network, self.speculation
-                )
-                speculated += landed - 1
+                speculated += vector.advance(latency, signature, static, network) - 1
+        return epochs, cache_hits, speculated
 
-        reports = [
-            vector.report() if vector is not None else runtime.report()
-            for vector, runtime in zip(vectors, runtimes)
-        ]
-        if prof.enabled:
-            prof.add("engine.run", perf_counter() - run_start)
-            prof.count("engine.epochs", epochs)
-            prof.count("engine.cache_hits", cache_hits)
-            prof.count("engine.speculated", speculated)
-            prof.count(
-                "engine.rollbacks",
-                sum(v.rollbacks for v in vectors if v is not None),
-            )
-        return ServingReport(
-            tenants=reports,
-            start_s=start_s,
-            duration_s=duration_s,
-            mode=mode,
-            epochs=epochs,
-            evaluator_kind=type(self.evaluator).__name__,
-            cache_hits=cache_hits,
-            engine="array",
-            speculated=speculated,
-        )
-
-    def _run_faulted(
+    def _epochs_faulted(
         self,
-        tenants: Sequence[TenantSpec],
-        duration_s: Optional[float],
-        start_s: float,
-        mode: str,
+        vectors: List[Optional[_VectorTenant]],
+        runtimes: List[Optional[TenantRuntime]],
+        static_sig: Optional[Signature],
         ctx: FaultContext,
-        tracer: Tracer = NULL_TRACER,
-    ):
+        tracer: Tracer,
+    ) -> Tuple[int, int, int]:
         """The epoch time-wheel on a churning fleet.
 
         Three additions keep the column fast path under the churn parity
@@ -688,201 +637,98 @@ class ArrayServingEngine:
 
         * every epoch resolves each tenant's *effective* plan from the live
           set at its next start — the same :class:`PlanDegrader` decision
-          (and the same cached plan object) the scalar loops use;
+          (and the same cached plan object) the reference loop uses;
         * speculation windows stop at the next membership event
-          (:meth:`_VectorTenant.advance_faulted`), so no speculated commit
-          can ever interact with churn;
+          (:meth:`_VectorTenant.advance` with the fault trace), so no
+          speculated commit can ever interact with churn;
         * a head request crossing the barrier is rolled back and resolved
           through the shared scalar retry-chain walk
           (:func:`~repro.runtime.faults.resolve_faulted_request`) with this
           engine's memoized latency oracle, then committed row by row —
           including abandoned rows, which hold their slot until the crash.
 
-        Non-vectorizable tenants run their scalar :class:`TenantRuntime`
-        chain through the very same resolver per dispatch, exactly as the
-        simulator's batched faulted loop does.
+        Every head is evaluated as a singleton batch (a compiled plan walk);
+        non-vectorizable tenants run their scalar :class:`TenantRuntime`
+        chain through the very same resolver per dispatch.
         """
-        from repro.serving.simulator import ServingReport  # circular at module load
-
-        prof = self.profiler
-        run_start = perf_counter() if prof.enabled else 0.0
         network = self.evaluator.network
-        static = network.is_static
-        static_sig = network_state_signature(network, start_s) if static else None
+        static = static_sig is not None
         trace, retry, degrader = ctx.trace, ctx.retry, ctx.degrader
+        epochs = cache_hits = speculated = 0
 
-        vectors: List[Optional[_VectorTenant]] = []
-        runtimes: List[Optional[TenantRuntime]] = []
-        for i, spec in enumerate(tenants):
-            shed = list(ctx.shed_intervals[i]) if ctx.shed_intervals[i] else None
-            if vectorizable(spec):
-                vectors.append(
-                    _VectorTenant(spec, start_s, duration_s, shed_intervals=shed)
-                )
-                runtimes.append(None)
-            else:
-                vectors.append(None)
-                runtimes.append(
-                    TenantRuntime(spec, start_s, duration_s, shed_intervals=shed)
-                )
-
-        epochs = 0
-        cache_hits = 0
-        speculated = 0
-        plan_sigs: Dict[int, Tuple] = {}
-        plan_refs: Dict[int, object] = {}
-
-        def sig_of(plan) -> Tuple:
-            sig = plan_sigs.get(id(plan))
-            if sig is None:
-                sig = plan_signature(plan)
-                plan_sigs[id(plan)] = sig
-                plan_refs[id(plan)] = plan
-            return sig
-
-        def sig_at(t_s: float) -> Tuple[float, ...]:
-            return static_sig if static else network_state_signature(network, t_s)
-
-        def vector_oracle(vector: _VectorTenant):
-            # The retry-chain walk's latency oracle for a column tenant:
-            # the per-tenant memo keyed (effective plan, network state),
-            # falling through to a singleton batch evaluation — the same
-            # floats the simulator's batched faulted loop feeds the walk.
-            def latency_of(plan, t_s: float) -> float:
-                nonlocal cache_hits
-                key = (id(plan), sig_at(t_s))
-                hit = vector.memo.get(key)
-                if hit is not None:
-                    cache_hits += 1
-                    return hit
-                latency = self.evaluator.evaluate_plans([plan], t_seconds=t_s)[0].end_to_end_ms
-                vector.memo.put(key, latency)
+        def latency_of(owner, plan: DistributionPlan, t_s: float, signature=None) -> float:
+            # The per-tenant memo keyed (plan, network state), falling through
+            # to a singleton batch evaluation at the sampled rate vector.
+            nonlocal cache_hits
+            if signature is None:
+                signature = static_sig or network_state_signature(network, t_s)
+            latency = owner.cached_latency(plan, signature)
+            if latency is not None:
+                cache_hits += 1
                 return latency
-
-            return latency_of
-
-        def runtime_oracle(runtime: TenantRuntime):
-            def latency_of(plan, t_s: float) -> float:
-                nonlocal cache_hits
-                key = (
-                    id(plan.model),
-                    sig_of(plan),
-                    network_state_signature(network, t_s),
-                )
-                cached = runtime.cached_latency(key)
-                if cached is not None:
-                    cache_hits += 1
-                    return cached
-                latency = self.evaluator.evaluate_plans([plan], t_seconds=t_s)[0].end_to_end_ms
-                runtime.cache_latency(key, plan.model, latency)
-                return latency
-
-            return latency_of
+            latency = self.evaluator.evaluate_plans(
+                [plan], t_seconds=t_s, rates=signature
+            )[0].end_to_end_ms
+            owner.cache_latency(plan, signature, latency)
+            return latency
 
         while True:
-            groups: Dict[Tuple[float, ...], List[Tuple]] = {}
-            ready: List[Tuple] = []
             dispatched = False
             for index, (vector, runtime) in enumerate(zip(vectors, runtimes)):
+                owner = runtime if vector is None else vector
+                if owner.done:
+                    continue
                 if vector is not None:
-                    if vector.done:
+                    release_s = vector.peek_start()
+                    signature = (
+                        static_sig
+                        or vector.next_signature
+                        or network_state_signature(network, release_s)
+                    )
+                    eff = degrader.effective_plan(
+                        vector.spec.plan, trace.live_indices(release_s * 1000.0)
+                    )
+                    latency = latency_of(vector, eff, release_s, signature)
+                    landed = vector.advance(latency, signature, static, network, trace)
+                    dispatched = True
+                    if landed:
+                        speculated += landed - 1
+                        continue
+                    # The head request crosses the next membership event:
+                    # walk its retry chain scalar and commit the resolution.
+                    plan, ordinal = vector.spec.plan, vector.committed
+                else:
+                    dispatch = runtime.prepare()
+                    if dispatch is None:
                         continue
                     dispatched = True
-                    t_next = vector.peek_start()
-                    eff = degrader.effective_plan(
-                        vector.spec.plan, trace.live_indices(t_next * 1000.0)
+                    release_s, plan, ordinal = (
+                        dispatch.start_s, dispatch.plan, runtime.pending_ordinal
                     )
-                    signature = sig_at(t_next)
-                    latency = vector.memo.get((id(eff), signature))
-                    if latency is None:
-                        groups.setdefault(signature, []).append(
-                            (vector, t_next, eff, index)
-                        )
-                    else:
-                        cache_hits += 1
-                        ready.append((vector, signature, latency, index))
-                    continue
-                if runtime.done:
-                    continue
-                dispatch = runtime.prepare()
-                if dispatch is None:
-                    continue
-                dispatched = True
                 resolved = resolve_faulted_request(
-                    dispatch.start_s,
-                    dispatch.plan,
-                    runtime_oracle(runtime),
+                    release_s,
+                    plan,
+                    lambda p, t: latency_of(owner, p, t),
                     trace,
                     retry,
                     degrader,
                     index,
-                    runtime.pending_ordinal,
+                    ordinal,
                 )
-                emit_resolution(tracer, runtime.spec.name, dispatch.start_s, resolved)
-                runtime.commit_resolved(resolved)
+                emit_resolution(tracer, owner.spec.name, release_s, resolved)
+                if vector is not None:
+                    vector.commit_resolved_head(resolved)
+                else:
+                    runtime.commit_resolved(resolved)
             if not dispatched:
                 break
             epochs += 1
-            for signature, members in groups.items():
-                results = self.evaluator.evaluate_plans(
-                    [eff for _, _, eff, _ in members], t_seconds=members[0][1]
-                )
-                for (vector, t_next, eff, index), result in zip(members, results):
-                    latency = result.end_to_end_ms
-                    vector.memo.put((id(eff), signature), latency)
-                    ready.append((vector, signature, latency, index))
-            for vector, signature, latency, index in ready:
-                landed = vector.advance_faulted(
-                    latency, signature, static, network, self.speculation, trace
-                )
-                if landed:
-                    speculated += landed - 1
-                    continue
-                # The head request crosses the next membership event: walk
-                # its retry chain scalar and commit the single resolution.
-                release_s = vector.peek_start()
-                resolved = resolve_faulted_request(
-                    release_s,
-                    vector.spec.plan,
-                    vector_oracle(vector),
-                    trace,
-                    retry,
-                    degrader,
-                    index,
-                    vector.committed,
-                )
-                emit_resolution(tracer, vector.spec.name, release_s, resolved)
-                vector.commit_resolved_head(resolved)
-
-        reports = [
-            vector.report() if vector is not None else runtime.report()
-            for vector, runtime in zip(vectors, runtimes)
-        ]
-        if prof.enabled:
-            prof.add("engine.run_faulted", perf_counter() - run_start)
-            prof.count("engine.epochs", epochs)
-            prof.count("engine.cache_hits", cache_hits)
-            prof.count("engine.speculated", speculated)
-            prof.count(
-                "engine.rollbacks",
-                sum(v.rollbacks for v in vectors if v is not None),
-            )
-        return ServingReport(
-            tenants=reports,
-            start_s=start_s,
-            duration_s=duration_s,
-            mode=mode,
-            epochs=epochs,
-            evaluator_kind=type(self.evaluator).__name__,
-            cache_hits=cache_hits,
-            engine="array",
-            speculated=speculated,
-        )
+        return epochs, cache_hits, speculated
 
 
 __all__ = [
     "ArrayServingEngine",
     "vectorizable",
     "MIN_SPECULATION",
-    "DEFAULT_SPECULATION",
+    "MAX_SPECULATION",
 ]

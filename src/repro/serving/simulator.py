@@ -1,4 +1,4 @@
-"""Multi-tenant open-loop serving simulator with an epoch-batched event loop.
+"""Multi-tenant open-loop serving simulator: a reference and a batched loop.
 
 :class:`ServingSimulator` drives a set of :class:`~repro.serving.tenants.TenantSpec`
 streams against one shared cluster.  Two event loops produce **bit-identical**
@@ -8,31 +8,23 @@ results:
   evaluated with one scalar ``evaluator.evaluate(plan, t)`` call.  This is
   the semantics oracle (and the baseline the ``bench-serve`` CI gate measures
   against).
-* ``mode="batched"`` (default) — the production loop: each *epoch* collects
-  every active tenant's next dispatch, groups the dispatches by instantaneous
-  network-state signature (:func:`~repro.runtime.batch.network_state_signature`
-  — the only thing evaluation depends on besides the plan itself), and
-  evaluates each group in a single vectorised
-  :meth:`~repro.runtime.batch.BatchPlanEvaluator.evaluate_plans` call — one
-  ``(requests, devices)`` array sweep per layer-volume instead of per-request
-  Python scheduling.  Equal signatures guarantee equal results, and the batch
-  engine is bit-exact with the scalar evaluator, so the batched loop matches
-  the reference loop bit for bit; :func:`run_with_parity` asserts exactly
-  that.  On a constant (or piecewise-constant) network all concurrent
-  dispatches share one signature and steady-state requests become plan-LRU
-  hits; on continuously-varying dynamic traces the groups shrink toward
-  singletons and the loop degrades gracefully to cached per-request batch
-  calls — never to wrong answers.
+* ``mode="batched"`` (default) — the production loop: the array-native
+  column time-wheel of :mod:`repro.serving.engine`.  Per-tenant NumPy
+  request columns are committed in speculation windows; each epoch groups
+  the tenants' next evaluations by instantaneous network-state signature
+  (:func:`~repro.runtime.batch.network_state_signature` — the only thing
+  evaluation depends on besides the plan itself) and evaluates each group in
+  a single :meth:`~repro.runtime.batch.BatchPlanEvaluator.evaluate_plans`
+  call.  Equal signatures guarantee equal results, and the batch engine is
+  bit-exact with the scalar evaluator, so the batched loop matches the
+  reference loop bit for bit; :func:`run_with_parity` asserts exactly that.
+  On a constant (or piecewise-constant) network whole timelines commit from
+  one evaluation; on continuously-varying dynamic traces the windows shrink
+  toward single requests — never to wrong answers.
 
-Tenant chains are independent (each tenant owns one service slot, see
+Tenant chains are independent (each tenant owns its service slots, see
 :mod:`repro.serving.tenants`), which is what lets an epoch advance all of
 them in lockstep without reordering any tenant's own sequential decisions.
-
-``run(..., engine="array")`` swaps the per-request Python bookkeeping for
-the array-native column time-wheel of :mod:`repro.serving.engine` — same
-report bit for bit (that *is* its contract, asserted by
-``run_with_parity(..., engine="array")``), roughly an order of magnitude
-faster on large tenant fleets.
 
 Passing a :class:`~repro.serving.dispatch.ClusterPolicy` replaces the
 independent-tenants model with **shared-fleet contention**: requests reach
@@ -54,15 +46,15 @@ parity contracts live in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, record_serving_report
 from repro.obs.profile import NULL_PROFILER
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.batch import network_state_signature, plan_signature
 from repro.runtime.contention import (
     ContendedOutcome,
     ContentionAwareEvaluator,
@@ -86,18 +78,12 @@ from repro.runtime.faults import (
     resolve_faulted_request,
 )
 from repro.serving.dispatch import ClusterPolicy, FleetDispatcher
+from repro.serving.engine import ArrayServingEngine
 from repro.serving.tenants import TenantReport, TenantRuntime, TenantSpec
 from repro.utils.cache import LRUCache
 
 #: Event-loop modes.
 MODES = ("batched", "reference")
-
-#: Execution engines: ``"object"`` drives the per-tenant
-#: :class:`TenantRuntime` loops above; ``"array"`` routes eligible tenants
-#: through the vectorised column time-wheel of :mod:`repro.serving.engine`
-#: (bit-identical by the same parity contract, ~an order of magnitude
-#: faster on large fleets).
-ENGINES = ("object", "array")
 
 
 @dataclass
@@ -114,15 +100,14 @@ class ServingReport:
     contention: bool = False
     discipline: str = ""
     max_inflight: Optional[int] = None
-    #: Evaluations skipped by caching (per-tenant plan cache in the
+    #: Evaluations skipped by caching (per-tenant latency memos in the
     #: independent batched loop; the contended-schedule memo under contention).
     cache_hits: int = 0
     #: Per-device lane-utilisation and queueing-delay breakdown (contended runs).
     fleet: Optional[FleetLoadReport] = None
-    #: Which execution engine produced the run (``"object"`` or ``"array"``).
-    engine: str = "object"
     #: Requests committed by epoch speculation without their own evaluation
-    #: (array engine only; informational, not part of the parity contract).
+    #: (independent batched runs only; informational, not part of the parity
+    #: contract).
     speculated: int = 0
     #: Admission mode the run used (``"none"`` or ``"predictive"``) and what
     #: predictive admission did with predicted misses (``"reject"`` /
@@ -208,7 +193,6 @@ class ServingReport:
         """
         out: Dict = {
             "mode": self.mode,
-            "engine": self.engine,
             "speculated": int(self.speculated),
             "evaluator_kind": self.evaluator_kind,
             "start_s": float(self.start_s),
@@ -323,9 +307,9 @@ class ServingSimulator:
     ----------
     evaluator:
         The evaluator bound to the shared cluster.  ``mode="batched"``
-        requires an ``evaluate_plans`` batch API
-        (:class:`~repro.runtime.batch.BatchPlanEvaluator`); the reference
-        mode accepts any :class:`~repro.runtime.evaluator.PlanEvaluator`.
+        without a cluster policy requires an ``evaluate_plans`` batch API
+        (:class:`~repro.runtime.batch.BatchPlanEvaluator`); the other runs
+        accept any :class:`~repro.runtime.evaluator.PlanEvaluator`.
     """
 
     def __init__(self, evaluator: PlanEvaluator) -> None:
@@ -341,24 +325,9 @@ class ServingSimulator:
         duration_s: Optional[float],
         mode: str,
         policy: Optional[ClusterPolicy] = None,
-        engine: str = "object",
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if engine == "array" and mode == "reference":
-            raise ValueError(
-                "the array engine has no reference mode — it is the optimised "
-                "path whose oracle is engine='object', mode='reference' "
-                "(see run_with_parity)"
-            )
-        if engine == "array" and policy is None and not hasattr(self.evaluator, "evaluate_plans"):
-            raise TypeError(
-                "the array engine needs an evaluator with evaluate_plans "
-                "(BatchPlanEvaluator); "
-                f"got {type(self.evaluator).__name__}"
-            )
         if policy is None and mode == "batched" and not hasattr(self.evaluator, "evaluate_plans"):
             # Contended serving walks requests through the scalar engine in
             # both modes (the memo, not evaluate_plans, provides the batching),
@@ -385,8 +354,8 @@ class ServingSimulator:
                     f"tenant {spec.name!r} is open-loop; pass duration_s to bound "
                     "its arrival horizon"
                 )
-        if duration_s is not None and duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {duration_s}")
+        if duration_s is not None and not (0 < duration_s < math.inf):
+            raise ValueError(f"duration_s must be > 0 and finite, got {duration_s}")
 
     def run(
         self,
@@ -395,7 +364,6 @@ class ServingSimulator:
         start_s: float = 0.0,
         mode: str = "batched",
         policy: Optional[ClusterPolicy] = None,
-        engine: str = "object",
         schedule_memo: Optional[LRUCache] = None,
         faults: Union[str, ChurnSpec, FaultTrace, None] = None,
         retry: Optional[RetryPolicy] = None,
@@ -416,14 +384,11 @@ class ServingSimulator:
         discipline order and queue on each other's lane occupancy (see
         :mod:`repro.runtime.contention`).  Without a policy every tenant's
         requests see an idle fleet at dispatch — the independent-tenants
-        model of earlier revisions, reproduced exactly.
-
-        ``engine="array"`` runs contention-free serving through the
-        vectorised column time-wheel (:mod:`repro.serving.engine`) — same
-        results bit for bit, per-request Python bookkeeping replaced by
-        array passes and epoch speculation.  Contended runs keep the
-        canonical sequential dispatcher order (the contended loop already
-        batches via its schedule memo and the vectorised lane residuals).
+        model of earlier revisions, reproduced exactly.  Contention-free
+        batched runs go through the vectorised column time-wheel
+        (:mod:`repro.serving.engine`); contended runs keep the canonical
+        sequential dispatcher order (the contended loop batches via its
+        schedule memo and the vectorised lane residuals).
 
         ``schedule_memo`` shares an externally-owned contended-schedule LRU
         across runs (capacity-planner probe reuse); it requires a contended
@@ -451,7 +416,7 @@ class ServingSimulator:
         report via :func:`repro.obs.metrics.record_serving_report`.  Both
         default to off and cost nothing when off.
         """
-        self._check(tenants, duration_s, mode, policy, engine)
+        self._check(tenants, duration_s, mode, policy)
         if schedule_memo is not None and (policy is None or mode != "batched"):
             raise ValueError(
                 "schedule_memo requires a contended batched run "
@@ -467,16 +432,13 @@ class ServingSimulator:
             duration_s,
         )
         tracer = NULL_TRACER if tracer is None else tracer
-        if engine == "array" and policy is None:
-            from repro.serving.engine import ArrayServingEngine  # deferred: circular
-
-            array_engine = ArrayServingEngine(self.evaluator)
-            array_engine.profiler = self.profiler
-            report = array_engine.run(
+        if policy is None and mode == "batched":
+            engine = ArrayServingEngine(self.evaluator)
+            engine.profiler = self.profiler
+            report = engine.run(
                 tenants,
                 duration_s=duration_s,
                 start_s=start_s,
-                mode=mode,
                 fault_ctx=fault_ctx,
                 tracer=tracer,
             )
@@ -494,15 +456,13 @@ class ServingSimulator:
             ]
             if policy is not None:
                 report = self._run_contended(
-                    runtimes, duration_s, start_s, mode, policy, engine,
+                    runtimes, duration_s, start_s, mode, policy,
                     schedule_memo, fault_ctx, tracer,
                 )
-            elif fault_ctx is not None:
-                report = self._run_independent_faulted(
-                    runtimes, duration_s, start_s, mode, fault_ctx, tracer
-                )
             else:
-                report = self._run_independent(runtimes, duration_s, start_s, mode)
+                report = self._run_independent(
+                    runtimes, duration_s, start_s, fault_ctx, tracer
+                )
         if fault_ctx is not None:
             report.faults = build_fault_report(fault_ctx, report.tenants)
         if tracer.enabled:
@@ -519,150 +479,37 @@ class ServingSimulator:
         runtimes: List[TenantRuntime],
         duration_s: Optional[float],
         start_s: float,
-        mode: str,
-    ) -> ServingReport:
-        """The contention-free loops: each request sees an idle fleet."""
-        epochs = 0
-        cache_hits = 0
-        network = self.evaluator.network
-        # Plan signatures memoized by object identity for the run (plans are
-        # immutable and serve thousands of dispatches; the dict also pins
-        # ids against recycling).
-        plan_sigs: Dict[int, Tuple] = {}
-        plan_refs: Dict[int, object] = {}
-
-        def sig_of(plan) -> Tuple:
-            sig = plan_sigs.get(id(plan))
-            if sig is None:
-                sig = plan_signature(plan)
-                plan_sigs[id(plan)] = sig
-                plan_refs[id(plan)] = plan
-            return sig
-        while True:
-            dispatches: List[Tuple[TenantRuntime, object]] = []
-            for runtime in runtimes:
-                if runtime.done:
-                    continue
-                dispatch = runtime.prepare()
-                if dispatch is not None:
-                    dispatches.append((runtime, dispatch))
-            if not dispatches:
-                break
-            epochs += 1
-            if mode == "reference":
-                for runtime, dispatch in dispatches:
-                    result = self.evaluator.evaluate(dispatch.plan, t_seconds=dispatch.start_s)
-                    runtime.commit(result.end_to_end_ms)
-                continue
-            # Batched: group the epoch's dispatches by instantaneous network
-            # state.  Within a group the scalar evaluator would compute the
-            # very same schedule for every member time, so evaluating the
-            # group at any member time is exact — one vectorised call per
-            # distinct network state per epoch.  Dispatches whose (plan,
-            # network-state) pair this tenant has already served skip the
-            # evaluator entirely via the per-tenant plan cache (replaying a
-            # float an identical earlier dispatch produced — exact for the
-            # same reason the grouping is).
-            groups: Dict[Tuple[float, ...], List[Tuple[TenantRuntime, object, Tuple]]] = {}
-            for runtime, dispatch in dispatches:
-                signature = network_state_signature(network, dispatch.start_s)
-                key = (id(dispatch.plan.model), sig_of(dispatch.plan), signature)
-                cached = runtime.cached_latency(key)
-                if cached is not None:
-                    cache_hits += 1
-                    runtime.commit(cached)
-                    continue
-                groups.setdefault(signature, []).append((runtime, dispatch, key))
-            for members in groups.values():
-                results = self.evaluator.evaluate_plans(
-                    [dispatch.plan for _, dispatch, _ in members],
-                    t_seconds=members[0][1].start_s,
-                )
-                for (runtime, dispatch, key), result in zip(members, results):
-                    runtime.cache_latency(key, dispatch.plan.model, result.end_to_end_ms)
-                    runtime.commit(result.end_to_end_ms)
-        if self.profiler.enabled:
-            self.profiler.count("serving.epochs", epochs)
-            self.profiler.count("serving.tenant_cache_hits", cache_hits)
-        return ServingReport(
-            tenants=[runtime.report() for runtime in runtimes],
-            start_s=start_s,
-            duration_s=duration_s,
-            mode=mode,
-            epochs=epochs,
-            evaluator_kind=type(self.evaluator).__name__,
-            cache_hits=cache_hits,
-        )
-
-    def _run_independent_faulted(
-        self,
-        runtimes: List[TenantRuntime],
-        duration_s: Optional[float],
-        start_s: float,
-        mode: str,
-        fault_ctx: FaultContext,
+        fault_ctx: Optional[FaultContext] = None,
         tracer: Tracer = NULL_TRACER,
     ) -> ServingReport:
-        """Contention-free serving on a churning fleet.
+        """The contention-free reference loop: each request sees an idle
+        fleet and is evaluated by one scalar ``evaluate`` call.
 
-        Each dispatch is resolved through the shared pure retry-chain walk
-        (:func:`~repro.runtime.faults.resolve_faulted_request`) and committed
-        once with its final outcome.  The only floats entering the decisions
-        come from the mode's latency oracle — the scalar evaluator here, the
-        (bit-exact) batch engine plus per-tenant cache in batched mode — so
-        both modes resolve every request identically.  Retry attempts are
-        evaluated under the network state at their own release instant,
-        exactly as the reference loop would re-dispatch them.
+        On a churning fleet (``fault_ctx``) each dispatch is resolved
+        through the shared pure retry-chain walk
+        (:func:`~repro.runtime.faults.resolve_faulted_request`) with the
+        scalar evaluator as its latency oracle and committed once with its
+        final outcome; retry attempts are evaluated under the network state
+        at their own release instant.
         """
-        epochs = 0
-        cache_hits = 0
-        network = self.evaluator.network
-        plan_sigs: Dict[int, Tuple] = {}
-        plan_refs: Dict[int, object] = {}
 
-        def sig_of(plan) -> Tuple:
-            sig = plan_sigs.get(id(plan))
-            if sig is None:
-                sig = plan_signature(plan)
-                plan_sigs[id(plan)] = sig
-                plan_refs[id(plan)] = plan
-            return sig
-
-        def reference_latency(plan, t_s: float) -> float:
+        def latency_of(plan, t_s: float) -> float:
             return self.evaluator.evaluate(plan, t_seconds=t_s).end_to_end_ms
 
-        def batched_latency_for(runtime: TenantRuntime):
-            def latency_of(plan, t_s: float) -> float:
-                nonlocal cache_hits
-                signature = network_state_signature(network, t_s)
-                key = (id(plan.model), sig_of(plan), signature)
-                cached = runtime.cached_latency(key)
-                if cached is not None:
-                    cache_hits += 1
-                    return cached
-                result = self.evaluator.evaluate_plans([plan], t_seconds=t_s)[0]
-                runtime.cache_latency(key, plan.model, result.end_to_end_ms)
-                return result.end_to_end_ms
-
-            return latency_of
-
+        epochs = 0
         while True:
-            dispatches: List[Tuple[int, TenantRuntime, object]] = []
-            for tenant_index, runtime in enumerate(runtimes):
-                if runtime.done:
-                    continue
-                dispatch = runtime.prepare()
-                if dispatch is not None:
-                    dispatches.append((tenant_index, runtime, dispatch))
+            dispatches = [
+                (index, runtime, dispatch)
+                for index, runtime in enumerate(runtimes)
+                if not runtime.done and (dispatch := runtime.prepare()) is not None
+            ]
             if not dispatches:
                 break
             epochs += 1
-            for tenant_index, runtime, dispatch in dispatches:
-                latency_of = (
-                    reference_latency
-                    if mode == "reference"
-                    else batched_latency_for(runtime)
-                )
+            for index, runtime, dispatch in dispatches:
+                if fault_ctx is None:
+                    runtime.commit(latency_of(dispatch.plan, dispatch.start_s))
+                    continue
                 resolved = resolve_faulted_request(
                     dispatch.start_s,
                     dispatch.plan,
@@ -670,22 +517,18 @@ class ServingSimulator:
                     fault_ctx.trace,
                     fault_ctx.retry,
                     fault_ctx.degrader,
-                    tenant_index,
+                    index,
                     runtime.pending_ordinal,
                 )
                 emit_resolution(tracer, runtime.spec.name, dispatch.start_s, resolved)
                 runtime.commit_resolved(resolved)
-        if self.profiler.enabled:
-            self.profiler.count("serving.epochs", epochs)
-            self.profiler.count("serving.tenant_cache_hits", cache_hits)
         return ServingReport(
             tenants=[runtime.report() for runtime in runtimes],
             start_s=start_s,
             duration_s=duration_s,
-            mode=mode,
+            mode="reference",
             epochs=epochs,
             evaluator_kind=type(self.evaluator).__name__,
-            cache_hits=cache_hits,
         )
 
     def _run_contended(
@@ -695,7 +538,6 @@ class ServingSimulator:
         start_s: float,
         mode: str,
         policy: ClusterPolicy,
-        engine: str = "object",
         schedule_memo: Optional[LRUCache] = None,
         fault_ctx: Optional[FaultContext] = None,
         tracer: Tracer = NULL_TRACER,
@@ -707,14 +549,10 @@ class ServingSimulator:
         contended schedules on their ``(model, plan, network state, gate,
         lane residuals)`` signature, so equal-signature dispatches are
         grouped into one evaluation.  ``reference`` re-walks every request
-        and stays the semantics oracle.
-
-        The dispatch order is inherently sequential (each selection depends
-        on every earlier completion), so ``engine="array"`` changes nothing
-        about this loop's control flow — the array wins come from the
-        vectorised lane residuals inside
-        :class:`~repro.runtime.contention.SharedFleetState` — and the value
-        is only recorded on the report.
+        and stays the semantics oracle.  The dispatch order is inherently
+        sequential (each selection depends on every earlier completion); the
+        array wins come from the vectorised lane residuals inside
+        :class:`~repro.runtime.contention.SharedFleetState`.
 
         Predictive admission (``policy.admission="predictive"``) splits each
         step into predict → decide → commit: the evaluator's prediction *is*
@@ -735,7 +573,6 @@ class ServingSimulator:
         models what the controller can know at release time — and every
         churn decision is the same pure function in both modes.
         """
-        engine_label = engine
         fleet = SharedFleetState(len(self.evaluator.devices), window_ms=policy.window_ms)
         engine = ContentionAwareEvaluator(
             self.evaluator,
@@ -888,7 +725,6 @@ class ServingSimulator:
             max_inflight=policy.max_inflight,
             cache_hits=engine.memo_hits,
             fleet=fleet_report,
-            engine=engine_label,
             admission=policy.admission,
             on_predicted_miss=(policy.on_predicted_miss if predictive else ""),
         )
@@ -1045,7 +881,6 @@ def run_with_parity(
     duration_s: Optional[float] = None,
     start_s: float = 0.0,
     policy: Optional[ClusterPolicy] = None,
-    engine: str = "object",
     faults: Union[str, ChurnSpec, FaultTrace, None] = None,
     retry: Optional[RetryPolicy] = None,
     degradation: Optional[DegradationPolicy] = None,
@@ -1060,10 +895,9 @@ def run_with_parity(
     state into the second run and make the comparison meaningless, so it is
     rejected here.  ``policy`` runs both loops in shared-fleet contention
     mode (the contended-schedule memo against the per-request reference
-    walk).  ``engine="array"`` runs the *batched* side through the
-    vectorised column time-wheel, making this the array engine's bit-exact
-    correctness contract against the scalar reference loop (the reference
-    side always runs on the object engine — it is the oracle).
+    walk); without one the batched side is the array engine of
+    :mod:`repro.serving.engine`, so this is its bit-exact correctness
+    contract against the scalar reference loop.
     ``faults``/``retry``/``degradation`` drive both loops over the same
     churning fleet — the churn parity contract: identical crash detections,
     retries, abandonments, shed arrivals and ``FaultReport``.  Returns the
@@ -1115,7 +949,6 @@ def run_with_parity(
         start_s=start_s,
         mode="batched",
         policy=policy,
-        engine=engine,
         faults=faults,
         retry=retry,
         degradation=degradation,
@@ -1166,5 +999,4 @@ __all__ = [
     "assert_traces_equal",
     "run_with_parity",
     "MODES",
-    "ENGINES",
 ]

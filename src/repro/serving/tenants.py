@@ -9,11 +9,11 @@ optional adaptation hook (the Section V-F controllers of
 
 :class:`TenantRuntime` is the behavioural core of the serving simulator: it
 advances one tenant's request chain — admission, queueing, dispatch, hook
-invocation, deadline accounting — request by request.  Both event loops of
-:class:`~repro.serving.simulator.ServingSimulator` (the epoch-batched one and
-the naive per-request reference) drive the *same* runtime code and differ
-only in how the dispatched plan is evaluated, which is what makes their
-results bit-identical by construction.
+invocation, deadline accounting — request by request.  The naive
+per-request reference loop, the contended loop and the array engine's
+fallback chains (:mod:`repro.serving.engine`) all drive this *same* runtime
+code; the engine's column tenants replay its float operations in array
+passes, and ``run_with_parity`` holds the two bit-identical.
 
 Service model: the cluster grants each tenant a pool of ``slots`` service
 slots (``slots=1`` is the paper's one-image-in-flight protocol, per stream).
@@ -42,12 +42,14 @@ map.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.runtime.batch import plan_signature
 from repro.runtime.plan import DistributionPlan
 from repro.serving.traffic import ArrivalProcess
 from repro.utils.cache import LRUCache
@@ -74,8 +76,8 @@ class SLO:
     target_miss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {self.deadline_ms}")
+        if not (0 < self.deadline_ms < math.inf):
+            raise ValueError(f"deadline_ms must be > 0 and finite, got {self.deadline_ms}")
         if not 0.0 <= self.target_miss_rate <= 1.0:
             raise ValueError(
                 f"target_miss_rate must be in [0, 1], got {self.target_miss_rate}"
@@ -366,13 +368,14 @@ class TenantRuntime:
         self._pending_attempt = 1
         self._pending_first_start_s = 0.0
 
-        # Per-tenant plan-evaluation cache (batched loop only): latency by
-        # (model, plan structure, network-state signature).  Controller
-        # replans under unchanged conditions — same strategy, same network —
-        # hit here and skip the evaluator entirely.  Model references are
-        # pinned so ids in live keys cannot be recycled.
+        # Per-tenant plan-evaluation cache (the array engine's fallback
+        # chains): latency by (model, plan structure, network-state
+        # signature).  Controller replans under unchanged conditions — same
+        # strategy, same network — hit here and skip the evaluator entirely.
+        # Plans are pinned next to their structural signature so ids in live
+        # keys cannot be recycled.
         self._eval_cache = LRUCache(256)
-        self._eval_cache_models: Dict[int, object] = {}
+        self._plan_sigs: Dict[int, Tuple[DistributionPlan, Tuple]] = {}
 
         # Outcome accumulators.
         self.arrivals_seen = 0
@@ -670,19 +673,29 @@ class TenantRuntime:
         self.commit(resolved.latency_ms)
 
     # ------------------------------------------------------------------ #
-    def cached_latency(self, key: Tuple) -> Optional[float]:
+    def _cache_key(self, plan: DistributionPlan, signature: Tuple[float, ...]) -> Tuple:
+        entry = self._plan_sigs.get(id(plan))
+        if entry is None:
+            entry = (plan, plan_signature(plan))
+            self._plan_sigs[id(plan)] = entry
+        return (id(plan.model), entry[1], signature)
+
+    def cached_latency(
+        self, plan: DistributionPlan, signature: Tuple[float, ...]
+    ) -> Optional[float]:
         """Latency of an earlier identical (plan, network-state) dispatch.
 
         Sound for the same reason the batch engine's plan LRU is: an equal
         key means the scalar evaluator would compute the identical schedule,
         so replaying the stored float is behaviour-preserving.
         """
-        return self._eval_cache.get(key)
+        return self._eval_cache.get(self._cache_key(plan, signature))
 
-    def cache_latency(self, key: Tuple, model: object, latency_ms: float) -> None:
+    def cache_latency(
+        self, plan: DistributionPlan, signature: Tuple[float, ...], latency_ms: float
+    ) -> None:
         """Store one dispatch's evaluated latency under its signature key."""
-        self._eval_cache.put(key, float(latency_ms))
-        self._eval_cache_models[id(model)] = model
+        self._eval_cache.put(self._cache_key(plan, signature), float(latency_ms))
 
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss counters of the per-tenant plan-evaluation cache."""

@@ -99,8 +99,8 @@ class PoissonArrivals(ArrivalProcess):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError(f"rate_rps must be > 0, got {self.rate_rps}")
+        if not (0 < self.rate_rps < math.inf):
+            raise ValueError(f"rate_rps must be > 0 and finite, got {self.rate_rps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -1,7 +1,7 @@
 """Churn-aware serving: parity, crash-boundary edge cases, conservation.
 
 The fault subsystem's acceptance bar: on a fleet that crashes mid-run, the
-reference, epoch-batched and array serving loops must agree float-for-float
+reference and batched (array engine) serving loops must agree float-for-float
 on every request — including requests killed mid-inference, retried on a
 replanned strategy, abandoned at their retry budget, or shed by the
 degradation policy.  The boundary cases (crash exactly at a completion
@@ -90,7 +90,7 @@ def assert_conserved(report):
 
 
 class TestChurnParity:
-    """All three loops on one crashing fleet, bit-identically."""
+    """The reference, batched and contended loops on one crashing fleet."""
 
     def test_object_engine_parity_with_mid_inference_crash(self, model, fleet):
         devices, network = fleet
@@ -110,29 +110,6 @@ class TestChurnParity:
         assert faults.lost_attempts > 0
         assert faults.total_shed > 0
         assert_conserved(report)
-
-    def test_array_engine_parity_matches_object_engine(self, model, fleet):
-        devices, network = fleet
-        kwargs = dict(duration_s=2.0, faults=CHURN, retry=RETRY, degradation=DEGRADE)
-        obj = run_with_parity(
-            BatchPlanEvaluator(devices, network),
-            PlanEvaluator(devices, network),
-            churn_tenants(model, devices),
-            **kwargs,
-        )
-        arr = run_with_parity(
-            BatchPlanEvaluator(devices, network),
-            PlanEvaluator(devices, network),
-            churn_tenants(model, devices),
-            engine="array",
-            **kwargs,
-        )
-        assert arr.faults == obj.faults
-        for a, b in zip(arr.tenants, obj.tenants):
-            assert np.array_equal(a.latency_ms, b.latency_ms)
-            assert np.array_equal(a.start_s, b.start_s)
-            assert a.num_abandoned == b.num_abandoned
-            assert a.num_retried == b.num_retried
 
     def test_contended_parity_with_churn(self, model, fleet):
         devices, network = fleet
@@ -240,7 +217,6 @@ class TestCrashBoundaries:
             PlanEvaluator(devices, network),
             tenants,
             duration_s=2.0,
-            engine="array",
             faults="churn:events=crash:0@150;join:0@900;crash:0@1300",
             retry=RetryPolicy(max_attempts=4, backoff_ms=10.0, jitter_ms=2.0),
         )
@@ -259,26 +235,24 @@ class TestNoChurnByteIdentity:
             events=(FaultEvent(t_ms=1e9, kind="crash", device=0),),
             num_devices=len(devices),
         )
-        for engine in ("object", "array"):
-            plain = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
-                churn_tenants(model, devices), duration_s=2.0, engine=engine
-            )
-            churned = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
-                churn_tenants(model, devices),
-                duration_s=2.0,
-                engine=engine,
-                faults=idle,
-                retry=RETRY,
-                degradation=DEGRADE,
-            )
-            assert plain.faults is None and churned.faults is not None
-            assert churned.faults.lost_attempts == 0
-            assert churned.faults.total_shed == 0
-            for a, b in zip(plain.tenants, churned.tenants):
-                assert np.array_equal(a.start_s, b.start_s)
-                assert np.array_equal(a.latency_ms, b.latency_ms)
-                assert a.num_completed == b.num_completed
-                assert a.num_rejected == b.num_rejected
+        plain = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
+            churn_tenants(model, devices), duration_s=2.0
+        )
+        churned = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
+            churn_tenants(model, devices),
+            duration_s=2.0,
+            faults=idle,
+            retry=RETRY,
+            degradation=DEGRADE,
+        )
+        assert plain.faults is None and churned.faults is not None
+        assert churned.faults.lost_attempts == 0
+        assert churned.faults.total_shed == 0
+        for a, b in zip(plain.tenants, churned.tenants):
+            assert np.array_equal(a.start_s, b.start_s)
+            assert np.array_equal(a.latency_ms, b.latency_ms)
+            assert a.num_completed == b.num_completed
+            assert a.num_rejected == b.num_rejected
 
 
 class TestFaultReportSurface:

@@ -1,10 +1,10 @@
 """Array serving engine: bit-identity against the scalar reference loop.
 
-The acceptance bar of the ``engine="array"`` time-wheel: across open- and
-closed-loop tenants, dynamic traces, slot pools, request caps, admission
-bounds, adaptation hooks and all three contention disciplines, every
-per-request number must equal the reference loop's exactly —
-``run_with_parity(..., engine="array")`` is the contract.
+The acceptance bar of the batched time-wheel: across open- and closed-loop
+tenants, dynamic traces, slot pools, request caps, admission bounds,
+adaptation hooks and all three contention disciplines, every per-request
+number must equal the reference loop's exactly — ``run_with_parity`` is
+the contract.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from repro.serving import (
     ClusterPolicy,
     MMPPArrivals,
     PoissonArrivals,
-    ServingSimulator,
+    RetryPolicy,
     TenantSpec,
     run_with_parity,
     vectorizable,
 )
-from repro.serving.engine import ArrayServingEngine
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +46,6 @@ def _parity(devices, network, tenants, **kwargs):
         BatchPlanEvaluator(devices, network),
         PlanEvaluator(devices, network),
         tenants,
-        engine="array",
         **kwargs,
     )
 
@@ -70,7 +68,6 @@ class TestVectorPathParity:
             ),
         ]
         report = _parity(devices, network, tenants, duration_s=15.0)
-        assert report.engine == "array"
         assert report.total_completed > 0
         # Static network: the whole timeline commits from one evaluation
         # per distinct plan, so nearly every request rode a speculation.
@@ -195,6 +192,68 @@ class TestVectorPathParity:
         assert 0 < t.num_completed < 100000
 
 
+class TestSignatureSampling:
+    @pytest.mark.parametrize(
+        "faults", [None, "churn:crashes=3,joins=2,window_ms=15000,seed=7"]
+    )
+    def test_dynamic_network_samples_each_head_at_most_once(
+        self, model, monkeypatch, faults
+    ):
+        """Regression: on a continuously varying trace every speculation
+        window fails at its second row, and each head used to be sampled
+        twice more — once to group it, once inside ``evaluate_plans``.  The
+        failed row is the next head's signature and is passed on as
+        ``rates=``, so sampling happens at most once per evaluated head
+        (and here almost never) — with the floats still the reference
+        loop's, churned or not."""
+        import repro.runtime.batch as batch_module
+        import repro.serving.engine as engine_module
+        from repro.baselines import CoEdgePlanner
+
+        devices = make_cluster([("xavier", 100), ("nano", 100)])
+        network = NetworkModel.from_devices(devices, kind="dynamic", seed=3)
+        tenants = [
+            TenantSpec(
+                "single",
+                DistributionPlan.single_device(model, devices, 0),
+                traffic=PoissonArrivals(8.0, seed=1),
+            ),
+            TenantSpec(
+                "split",
+                CoEdgePlanner().plan(model, devices, network),
+                traffic=PoissonArrivals(40.0, seed=2),
+            ),
+        ]
+        samples, heads = [], []
+        sample = batch_module.network_state_signature
+        advance = engine_module._VectorTenant.advance
+
+        def counting_sample(net, t_seconds):
+            samples.append(t_seconds)
+            return sample(net, t_seconds)
+
+        def counting_advance(vector, *args, **kwargs):
+            heads.append(vector.peek_start())
+            return advance(vector, *args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "network_state_signature", counting_sample)
+        monkeypatch.setattr(engine_module, "network_state_signature", counting_sample)
+        monkeypatch.setattr(engine_module._VectorTenant, "advance", counting_advance)
+        report = _parity(
+            devices,
+            network,
+            tenants,
+            duration_s=20.0,
+            faults=faults,
+            retry=None if faults is None else RetryPolicy(max_attempts=3, backoff_ms=10.0),
+        )
+        assert len(heads) > 500 and report.total_completed > 500
+        assert len(samples) <= len(heads)
+        assert len(samples) < len(heads) // 10
+        if faults is not None:
+            assert report.faults.lost_attempts > 0, "churn never bit; test is vacuous"
+
+
 class TestFallbackPathParity:
     def test_queue_capacity_falls_back(self, model):
         devices, network = _two_devices()
@@ -289,55 +348,10 @@ class TestContended:
             policy=ClusterPolicy(discipline=discipline, max_inflight=2),
         )
         assert report.contention
-        assert report.engine == "array"
         assert report.fleet is not None
 
 
 class TestValidation:
-    def test_array_engine_rejects_reference_mode(self, model):
-        devices, network = _two_devices()
-        tenants = [
-            TenantSpec(
-                "t",
-                DistributionPlan.single_device(model, devices, 0),
-                traffic=PoissonArrivals(2.0, seed=1),
-            )
-        ]
-        simulator = ServingSimulator(BatchPlanEvaluator(devices, network))
-        with pytest.raises(ValueError, match="reference"):
-            simulator.run(tenants, duration_s=5.0, mode="reference", engine="array")
-
-    def test_unknown_engine_rejected(self, model):
-        devices, network = _two_devices()
-        tenants = [
-            TenantSpec(
-                "t",
-                DistributionPlan.single_device(model, devices, 0),
-                traffic=PoissonArrivals(2.0, seed=1),
-            )
-        ]
-        simulator = ServingSimulator(BatchPlanEvaluator(devices, network))
-        with pytest.raises(ValueError, match="engine"):
-            simulator.run(tenants, duration_s=5.0, engine="simd")
-
-    def test_array_engine_needs_batch_api(self, model):
-        devices, network = _two_devices()
-        tenants = [
-            TenantSpec(
-                "t",
-                DistributionPlan.single_device(model, devices, 0),
-                traffic=PoissonArrivals(2.0, seed=1),
-            )
-        ]
-        simulator = ServingSimulator(PlanEvaluator(devices, network))
-        with pytest.raises(TypeError, match="evaluate_plans"):
-            simulator.run(tenants, duration_s=5.0, engine="array")
-
-    def test_speculation_floor_enforced(self, model):
-        devices, network = _two_devices()
-        with pytest.raises(ValueError, match="speculation"):
-            ArrayServingEngine(BatchPlanEvaluator(devices, network), speculation=1)
-
     def test_slots_validation(self, model):
         devices, _ = _two_devices()
         with pytest.raises(ValueError, match="slots"):

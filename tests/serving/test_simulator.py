@@ -187,6 +187,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration_s"):
             ServingSimulator(evaluator).run([tenant])
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_knobs_rejected(self, cluster, bad):
+        """Regression: a NaN deadline passed the ``<= 0`` guard and never
+        missed; NaN/inf durations and rates crashed mid-run."""
+        _, _, evaluator, plan = cluster
+        with pytest.raises(ValueError, match="deadline_ms"):
+            SLO(deadline_ms=bad)
+        with pytest.raises(ValueError, match="rate_rps"):
+            PoissonArrivals(bad)
+        tenant = TenantSpec("t", plan, traffic=PoissonArrivals(1.0))
+        with pytest.raises(ValueError, match="duration_s"):
+            ServingSimulator(evaluator).run([tenant], duration_s=bad)
+
     def test_closed_loop_needs_max_requests(self, cluster):
         _, _, _, plan = cluster
         with pytest.raises(ValueError, match="max_requests"):
@@ -207,6 +220,11 @@ class TestValidation:
         tenant = TenantSpec("t", plan, traffic=PoissonArrivals(1.0))
         with pytest.raises(TypeError, match="evaluate_plans"):
             ServingSimulator(scalar).run([tenant], duration_s=1.0)
+        # Churned batched runs go through the same array engine.
+        with pytest.raises(TypeError, match="evaluate_plans"):
+            ServingSimulator(scalar).run(
+                [tenant], duration_s=1.0, faults="churn:events=crash:0@500"
+            )
         # The reference loop accepts a scalar evaluator.
         report = ServingSimulator(scalar).run([tenant], duration_s=1.0, mode="reference")
         assert report.mode == "reference"

@@ -1,7 +1,7 @@
 """Trace-level parity: every loop's trace is byte-identical.
 
-The report-level parity contract says the reference, epoch-batched and
-array loops commit the same floats.  The trace-level contract asserted
+The report-level parity contract says the reference and batched loops
+commit the same floats.  The trace-level contract asserted
 here is stronger in surface area: the *entire event stream* — derived
 lifecycle events plus the live-emitted contended lane segments, requeues,
 retry chains and fault timeline — must serialise to identical bytes
@@ -102,7 +102,6 @@ class TestTraceParity:
             PlanEvaluator(devices, network),
             tenants_for(model, devices),
             duration_s=2.0,
-            engine="array",
             faults=CHURN,
             retry=RETRY,
             tracer=tracer,

@@ -62,25 +62,41 @@ class TestParser:
             build_parser().parse_args(["plan"])
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,flag",
         [
-            ["plan", "--model", "small_vgg", "--scenario", "DB", "--method", "coedge"],
-            ["evaluate", "plan.json"],
-            ["compare", "--scenario", "DB"],
-            ["serve", "--scenario", "DB", "--tenant", "coedge"],
-            ["analyze", "--scenario", "DB"],
+            (["plan", "--model", "small_vgg", "--scenario", "DB", "--method", "coedge"],
+             "--bandwidth"),
+            (["evaluate", "plan.json"], "--bandwidth"),
+            (["compare", "--scenario", "DB"], "--bandwidth"),
+            (["serve", "--scenario", "DB", "--tenant", "coedge"], "--bandwidth"),
+            (["analyze", "--scenario", "DB"], "--bandwidth"),
+            (["serve", "--scenario", "DB"], "--duration"),
+            (["serve", "--scenario", "DB"], "--rate"),
+            (["serve", "--scenario", "DB"], "--deadline-ms"),
+            (["serve", "--scenario", "DB"], "--slots"),
+            (["serve", "--scenario", "DB"], "--queue-capacity"),
+            (["analyze", "--scenario", "DB"], "--duration"),
+            (["analyze", "--scenario", "DB"], "--rate"),
+            (["analyze", "--scenario", "DB"], "--deadline-ms"),
         ],
-        ids=["plan", "evaluate", "compare", "serve", "analyze"],
+        ids=[
+            "plan", "evaluate", "compare", "serve", "analyze",
+            "serve-duration", "serve-rate", "serve-deadline-ms", "serve-slots",
+            "serve-queue-capacity", "analyze-duration", "analyze-rate",
+            "analyze-deadline-ms",
+        ],
     )
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "fast"])
-    def test_bad_bandwidth_exits_cleanly(self, argv, value, capsys):
-        """Regression: 0/-1/nan raised a ValueError traceback deep in scenario
-        building, and inf was accepted as an infinite network."""
+    def test_bad_bandwidth_exits_cleanly(self, argv, flag, value, capsys):
+        """Regression: bad --bandwidth values raised a ValueError traceback
+        deep in scenario building (inf was accepted as an infinite network);
+        bad serve/analyze durations, rates, deadlines, slot counts and queue
+        capacities crashed mid-run, and a NaN deadline never missed."""
         with pytest.raises(SystemExit) as exc:
-            main([*argv, f"--bandwidth={value}"])
+            main([*argv, f"{flag}={value}"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --bandwidth" in err
+        assert f"argument {flag}" in err
         assert "Traceback" not in err
 
     def test_bandwidth_accepts_a_positive_rate(self):
