@@ -92,15 +92,23 @@ def _run(fleet, model, policy, mode="batched", duration=2.0):
 
 @pytest.mark.parametrize("discipline", ["fifo", "deadline", "wfq"])
 @pytest.mark.parametrize("action", ["reject", "requeue"])
-def test_predictive_admission_parity(fleet, model, discipline, action):
-    """Reference and batched loops agree bit-for-bit with admission on."""
+@pytest.mark.parametrize("walk", ["object", "array"])
+def test_predictive_admission_parity(fleet, model, discipline, action, walk):
+    """Reference and batched loops agree bit-for-bit with admission on.
+
+    ``walk`` picks the reference side's contended walk: ``object`` is
+    :class:`PlanEvaluator`'s ``process_volume``/``finalize`` walk (so the
+    check also crosses walks), ``array`` the same compiled-plan walk the
+    batched side uses (so only the memo and the dispatch grouping differ).
+    """
     devices, network = fleet
     policy = ClusterPolicy(
         discipline=discipline, admission="predictive", on_predicted_miss=action
     )
+    reference = {"object": PlanEvaluator, "array": BatchPlanEvaluator}[walk]
     report = run_with_parity(
         BatchPlanEvaluator(devices, network),
-        PlanEvaluator(devices, network),
+        reference(devices, network),
         _saturating_tenants(model, devices),
         duration_s=2.0,
         policy=policy,

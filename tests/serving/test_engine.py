@@ -25,6 +25,7 @@ from repro.serving import (
     MMPPArrivals,
     PoissonArrivals,
     RetryPolicy,
+    ServingSimulator,
     TenantSpec,
     run_with_parity,
     vectorizable,
@@ -352,6 +353,22 @@ class TestContended:
 
 
 class TestValidation:
+    def test_array_engine_needs_batch_api(self, model):
+        devices, network = _two_devices()
+        tenants = [
+            TenantSpec(
+                "t",
+                DistributionPlan.single_device(model, devices, 0),
+                traffic=PoissonArrivals(2.0, seed=1),
+            )
+        ]
+        simulator = ServingSimulator(PlanEvaluator(devices, network))
+        with pytest.raises(TypeError, match="evaluate_plans"):
+            simulator.run(tenants, duration_s=5.0)
+        # Churned batched runs go through the same engine.
+        with pytest.raises(TypeError, match="evaluate_plans"):
+            simulator.run(tenants, duration_s=5.0, faults="churn:events=crash:0@500")
+
     def test_slots_validation(self, model):
         devices, _ = _two_devices()
         with pytest.raises(ValueError, match="slots"):

@@ -220,11 +220,6 @@ class TestValidation:
         tenant = TenantSpec("t", plan, traffic=PoissonArrivals(1.0))
         with pytest.raises(TypeError, match="evaluate_plans"):
             ServingSimulator(scalar).run([tenant], duration_s=1.0)
-        # Churned batched runs go through the same array engine.
-        with pytest.raises(TypeError, match="evaluate_plans"):
-            ServingSimulator(scalar).run(
-                [tenant], duration_s=1.0, faults="churn:events=crash:0@500"
-            )
         # The reference loop accepts a scalar evaluator.
         report = ServingSimulator(scalar).run([tenant], duration_s=1.0, mode="reference")
         assert report.mode == "reference"
