@@ -129,15 +129,6 @@ class MethodResult:
     plan: DistributionPlan
     evaluation: EvaluationResult
 
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "method": self.method,
-            "scenario": self.scenario,
-            "model": self.model,
-            "ips": self.ips,
-            "latency_ms": self.latency_ms,
-        }
-
 
 class ExperimentHarness:
     """Runs distribution methods on scenarios and evaluates the outcome."""

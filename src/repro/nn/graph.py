@@ -229,10 +229,6 @@ class ModelSpec:
         return sum(layer.macs for layer in self.head_layers)
 
     @property
-    def total_weight_bytes(self) -> int:
-        return sum(layer.weight_bytes for layer in self.layers)
-
-    @property
     def input_bytes(self) -> int:
         h, w, c = self.input_shape
         from repro.utils.units import FP16_BYTES

@@ -140,16 +140,6 @@ class LayerSpec:
         out_rows = min(out_rows, self.out_h)
         return int(round(self.macs * out_rows / self.out_h))
 
-    def output_bytes_for_rows(self, out_rows: int) -> int:
-        """Bytes of output activation restricted to ``out_rows`` rows."""
-        check_non_negative(out_rows, "out_rows")
-        if out_rows == 0:
-            return 0
-        if not self.is_spatial:
-            return self.output_bytes
-        out_rows = min(out_rows, self.out_h)
-        return out_rows * self.out_w * self.out_c * FP16_BYTES
-
     def with_input(self, in_h: int, in_w: int, in_c: int) -> "LayerSpec":
         """Return a copy of this spec with a different input shape."""
         return dataclasses.replace(self, in_h=in_h, in_w=in_w, in_c=in_c)

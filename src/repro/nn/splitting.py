@@ -249,10 +249,6 @@ class SplitPart:
         return self.out_rows[0] >= self.out_rows[1]
 
     @property
-    def num_output_rows(self) -> int:
-        return max(0, self.out_rows[1] - self.out_rows[0])
-
-    @property
     def num_input_rows(self) -> int:
         return max(0, self.in_rows[1] - self.in_rows[0])
 

@@ -203,17 +203,6 @@ class BatchPlanEvaluator(PlanEvaluator):
         self._requester_index = n
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_evaluator(cls, evaluator: PlanEvaluator, cache_size: int = 4096):
-        """Wrap an existing evaluator's devices/network/oracle configuration."""
-        return cls(
-            evaluator.devices,
-            evaluator.network,
-            compute_oracle=evaluator.oracle,
-            input_bytes_per_element=evaluator.input_bytes_per_element,
-            cache_size=cache_size,
-        )
-
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss counters of the full-plan LRU cache."""
         return self._plan_cache.info()

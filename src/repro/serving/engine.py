@@ -43,11 +43,11 @@ Three ideas make it exact *and* fast:
 
 Tenants the columns cannot express exactly — adaptation hooks (the plan may
 change mid-stream) and open-loop queue-capacity admission (a per-event
-decision against the live queue depth) — fall back to their scalar
-:class:`TenantRuntime` chain *inside* the engine's epoch loop, sharing its
-signature groups and evaluation batches and memoizing latencies in the
-runtime's plan cache, so mixed workloads stay correct and only the tenants
-that need the slow path pay for it.
+decision against the live queue depth) — are not served here: the
+simulator runs them through its scalar reference loop in the same call, so
+mixed workloads stay correct and only the tenants that need the slow path
+pay for it.  Both loops keep every tenant at its position in the caller's
+list, which the churn shed intervals and retry jitter are indexed by.
 
 Fleet churn (:mod:`repro.runtime.faults`) rides the same machinery: the
 fault-aware loop bounds every speculation window at the next membership
@@ -89,7 +89,7 @@ from repro.runtime.faults import (
     resolve_faulted_request,
 )
 from repro.runtime.plan import DistributionPlan
-from repro.serving.tenants import TenantReport, TenantRuntime, TenantSpec
+from repro.serving.tenants import TenantReport, TenantSpec
 from repro.utils.cache import LRUCache
 
 #: Smallest adaptive speculation window on non-static networks.  The window
@@ -110,7 +110,7 @@ def vectorizable(spec: TenantSpec) -> bool:
 
     Hooks may swap the plan mid-stream and open-loop admission control
     makes per-arrival decisions against the live queue depth; both run on
-    the scalar fallback chain inside the engine instead.
+    the simulator's scalar loop instead.
     """
     if spec.adaptation_hook is not None or spec.hook_factory is not None:
         return False
@@ -253,12 +253,6 @@ class _VectorTenant:
                     j += 1
         self.committed = j
         return j - i
-
-    def cached_latency(self, plan: DistributionPlan, signature: Signature) -> Optional[float]:
-        return self.memo.get((id(plan), signature))
-
-    def cache_latency(self, plan: DistributionPlan, signature: Signature, latency_ms: float) -> None:
-        self.memo.put((id(plan), signature), latency_ms)
 
     def advance(
         self,
@@ -474,7 +468,7 @@ class _VectorTenant:
 
 
 class ArrayServingEngine:
-    """Drives tenants through the vectorised time-wheel.
+    """Drives the column tenants through the vectorised time-wheel.
 
     Constructed on the same batch-capable evaluator as the simulator
     (:class:`~repro.runtime.batch.BatchPlanEvaluator`).  Use it via
@@ -492,43 +486,39 @@ class ArrayServingEngine:
         duration_s: Optional[float] = None,
         start_s: float = 0.0,
         fault_ctx: Optional[FaultContext] = None,
-        tracer: Optional[Tracer] = None,
-    ):
-        """Run the array time-wheel; returns a ``ServingReport``.
+        tracer: Tracer = NULL_TRACER,
+    ) -> Tuple[List[Optional[TenantReport]], int, int, int]:
+        """Serve the :func:`vectorizable` tenants on the array time-wheel.
 
-        ``fault_ctx`` (built by the simulator) switches on fleet churn: the
-        run moves to the fault-aware epoch loop, whose speculation windows
-        are additionally bounded by the fault trace's membership events.
+        Returns ``(reports, epochs, cache_hits, speculated)``; ``reports``
+        is aligned with ``tenants`` and holds ``None`` for every tenant the
+        simulator's scalar loop serves instead.  ``fault_ctx`` (built by the
+        simulator) switches on fleet churn: the run moves to the fault-aware
+        epoch loop, whose speculation windows are additionally bounded by
+        the fault trace's membership events.
         """
-        from repro.serving.simulator import ServingReport  # circular at module load
-
         prof = self.profiler
         run_start = perf_counter() if prof.enabled else 0.0
         network = self.evaluator.network
         static_sig = network_state_signature(network, start_s) if network.is_static else None
-        vectors: List[Optional[_VectorTenant]] = []
-        runtimes: List[Optional[TenantRuntime]] = []
-        for i, spec in enumerate(tenants):
-            shed = None
-            if fault_ctx is not None and fault_ctx.shed_intervals[i]:
-                shed = list(fault_ctx.shed_intervals[i])
-            if vectorizable(spec):
-                vectors.append(_VectorTenant(spec, start_s, duration_s, shed_intervals=shed))
-                runtimes.append(None)
-            else:
-                vectors.append(None)
-                runtimes.append(TenantRuntime(spec, start_s, duration_s, shed_intervals=shed))
-        if fault_ctx is None:
-            epochs, cache_hits, speculated = self._epochs(vectors, runtimes, static_sig)
-        else:
-            epochs, cache_hits, speculated = self._epochs_faulted(
-                vectors, runtimes, static_sig, fault_ctx,
-                NULL_TRACER if tracer is None else tracer,
+        vectors: List[Optional[_VectorTenant]] = [
+            (
+                _VectorTenant(
+                    spec,
+                    start_s,
+                    duration_s,
+                    shed_intervals=None if fault_ctx is None else fault_ctx.shed_intervals[i],
+                )
+                if vectorizable(spec)
+                else None
             )
-        reports = [
-            vector.report() if vector is not None else runtime.report()
-            for vector, runtime in zip(vectors, runtimes)
+            for i, spec in enumerate(tenants)
         ]
+        if fault_ctx is None:
+            epochs, cache_hits, speculated = self._epochs(vectors, static_sig)
+        else:
+            epochs, cache_hits, speculated = self._epochs_faulted(vectors, static_sig, fault_ctx, tracer)
+        reports = [None if v is None else v.report() for v in vectors]
         if prof.enabled:
             section = "engine.run" if fault_ctx is None else "engine.run_faulted"
             prof.add(section, perf_counter() - run_start)
@@ -539,21 +529,11 @@ class ArrayServingEngine:
                 "engine.rollbacks",
                 sum(v.rollbacks for v in vectors if v is not None),
             )
-        return ServingReport(
-            tenants=reports,
-            start_s=start_s,
-            duration_s=duration_s,
-            mode="batched",
-            epochs=epochs,
-            evaluator_kind=type(self.evaluator).__name__,
-            cache_hits=cache_hits,
-            speculated=speculated,
-        )
+        return reports, epochs, cache_hits, speculated
 
     def _epochs(
         self,
         vectors: List[Optional[_VectorTenant]],
-        runtimes: List[Optional[TenantRuntime]],
         static_sig: Optional[Signature],
     ) -> Tuple[int, int, int]:
         """The epoch time-wheel; returns ``(epochs, cache_hits, speculated)``."""
@@ -561,47 +541,26 @@ class ArrayServingEngine:
         static = static_sig is not None
         epochs = cache_hits = speculated = 0
         while True:
-            # Phase 1: every active tenant declares its next evaluation need
-            # (fallback dispatches whose latency is already cached commit
-            # right here — still progress, hence the ``dispatched`` flag).
+            # Phase 1: every active tenant declares its next evaluation need.
             groups: Dict[Signature, List[Tuple]] = {}
             ready: List[Tuple[_VectorTenant, Signature, float]] = []
-            dispatched = False
-            for vector, runtime in zip(vectors, runtimes):
-                if vector is not None:
-                    if vector.done:
-                        continue
-                    dispatched = True
-                    t_next = vector.peek_start()
-                    plan = vector.spec.plan
-                    signature = (
-                        static_sig
-                        or vector.next_signature
-                        or network_state_signature(network, t_next)
-                    )
-                    latency = vector.cached_latency(plan, signature)
-                    if latency is None:
-                        groups.setdefault(signature, []).append((vector, plan, t_next))
-                    else:
-                        cache_hits += 1
-                        ready.append((vector, signature, latency))
+            for vector in vectors:
+                if vector is None or vector.done:
                     continue
-                if runtime.done:
-                    continue
-                dispatch = runtime.prepare()
-                if dispatch is None:
-                    continue
-                dispatched = True
-                signature = static_sig or network_state_signature(network, dispatch.start_s)
-                cached = runtime.cached_latency(dispatch.plan, signature)
-                if cached is not None:
-                    cache_hits += 1
-                    runtime.commit(cached)
+                t_next = vector.peek_start()
+                plan = vector.spec.plan
+                signature = (
+                    static_sig
+                    or vector.next_signature
+                    or network_state_signature(network, t_next)
+                )
+                latency = vector.memo.get((id(plan), signature))
+                if latency is None:
+                    groups.setdefault(signature, []).append((vector, plan, t_next))
                 else:
-                    groups.setdefault(signature, []).append(
-                        (runtime, dispatch.plan, dispatch.start_s)
-                    )
-            if not dispatched:
+                    cache_hits += 1
+                    ready.append((vector, signature, latency))
+            if not groups and not ready:
                 break
             epochs += 1
             # Phase 2: one vectorised evaluation per distinct network state,
@@ -610,14 +569,11 @@ class ArrayServingEngine:
                 results = self.evaluator.evaluate_plans(
                     [plan for _, plan, _ in members], t_seconds=members[0][2], rates=signature
                 )
-                for (owner, plan, _), result in zip(members, results):
+                for (vector, plan, _), result in zip(members, results):
                     latency = result.end_to_end_ms
-                    owner.cache_latency(plan, signature, latency)
-                    if isinstance(owner, TenantRuntime):
-                        owner.commit(latency)
-                    else:
-                        ready.append((owner, signature, latency))
-            # Phase 3: column tenants commit their speculation windows.
+                    vector.memo.put((id(plan), signature), latency)
+                    ready.append((vector, signature, latency))
+            # Phase 3: commit every tenant's speculation window.
             for vector, signature, latency in ready:
                 speculated += vector.advance(latency, signature, static, network) - 1
         return epochs, cache_hits, speculated
@@ -625,7 +581,6 @@ class ArrayServingEngine:
     def _epochs_faulted(
         self,
         vectors: List[Optional[_VectorTenant]],
-        runtimes: List[Optional[TenantRuntime]],
         static_sig: Optional[Signature],
         ctx: FaultContext,
         tracer: Tracer,
@@ -647,79 +602,65 @@ class ArrayServingEngine:
           engine's memoized latency oracle, then committed row by row —
           including abandoned rows, which hold their slot until the crash.
 
-        Every head is evaluated as a singleton batch (a compiled plan walk);
-        non-vectorizable tenants run their scalar :class:`TenantRuntime`
-        chain through the very same resolver per dispatch.
+        Every head is evaluated as a singleton batch (a compiled plan walk).
+        A tenant's index into ``vectors`` is its position in the caller's
+        list, the index the retry jitter is drawn with.
         """
         network = self.evaluator.network
         static = static_sig is not None
         trace, retry, degrader = ctx.trace, ctx.retry, ctx.degrader
         epochs = cache_hits = speculated = 0
 
-        def latency_of(owner, plan: DistributionPlan, t_s: float, signature=None) -> float:
+        def latency_of(vector: _VectorTenant, plan: DistributionPlan, t_s: float, signature=None) -> float:
             # The per-tenant memo keyed (plan, network state), falling through
             # to a singleton batch evaluation at the sampled rate vector.
             nonlocal cache_hits
             if signature is None:
                 signature = static_sig or network_state_signature(network, t_s)
-            latency = owner.cached_latency(plan, signature)
+            latency = vector.memo.get((id(plan), signature))
             if latency is not None:
                 cache_hits += 1
                 return latency
             latency = self.evaluator.evaluate_plans(
                 [plan], t_seconds=t_s, rates=signature
             )[0].end_to_end_ms
-            owner.cache_latency(plan, signature, latency)
+            vector.memo.put((id(plan), signature), latency)
             return latency
 
         while True:
             dispatched = False
-            for index, (vector, runtime) in enumerate(zip(vectors, runtimes)):
-                owner = runtime if vector is None else vector
-                if owner.done:
+            for index, vector in enumerate(vectors):
+                if vector is None or vector.done:
                     continue
-                if vector is not None:
-                    release_s = vector.peek_start()
-                    signature = (
-                        static_sig
-                        or vector.next_signature
-                        or network_state_signature(network, release_s)
-                    )
-                    eff = degrader.effective_plan(
-                        vector.spec.plan, trace.live_indices(release_s * 1000.0)
-                    )
-                    latency = latency_of(vector, eff, release_s, signature)
-                    landed = vector.advance(latency, signature, static, network, trace)
-                    dispatched = True
-                    if landed:
-                        speculated += landed - 1
-                        continue
-                    # The head request crosses the next membership event:
-                    # walk its retry chain scalar and commit the resolution.
-                    plan, ordinal = vector.spec.plan, vector.committed
-                else:
-                    dispatch = runtime.prepare()
-                    if dispatch is None:
-                        continue
-                    dispatched = True
-                    release_s, plan, ordinal = (
-                        dispatch.start_s, dispatch.plan, runtime.pending_ordinal
-                    )
+                dispatched = True
+                release_s = vector.peek_start()
+                signature = (
+                    static_sig
+                    or vector.next_signature
+                    or network_state_signature(network, release_s)
+                )
+                eff = degrader.effective_plan(
+                    vector.spec.plan, trace.live_indices(release_s * 1000.0)
+                )
+                latency = latency_of(vector, eff, release_s, signature)
+                landed = vector.advance(latency, signature, static, network, trace)
+                if landed:
+                    speculated += landed - 1
+                    continue
+                # The head request crosses the next membership event: walk
+                # its retry chain scalar and commit the resolution.
                 resolved = resolve_faulted_request(
                     release_s,
-                    plan,
-                    lambda p, t: latency_of(owner, p, t),
+                    vector.spec.plan,
+                    lambda p, t: latency_of(vector, p, t),
                     trace,
                     retry,
                     degrader,
                     index,
-                    ordinal,
+                    vector.committed,
                 )
-                emit_resolution(tracer, owner.spec.name, release_s, resolved)
-                if vector is not None:
-                    vector.commit_resolved_head(resolved)
-                else:
-                    runtime.commit_resolved(resolved)
+                emit_resolution(tracer, vector.spec.name, release_s, resolved)
+                vector.commit_resolved_head(resolved)
             if not dispatched:
                 break
             epochs += 1

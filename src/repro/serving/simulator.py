@@ -20,7 +20,9 @@ results:
   reference loop bit for bit; :func:`run_with_parity` asserts exactly that.
   On a constant (or piecewise-constant) network whole timelines commit from
   one evaluation; on continuously-varying dynamic traces the windows shrink
-  toward single requests — never to wrong answers.
+  toward single requests — never to wrong answers.  Tenants the columns
+  cannot express (adaptation hooks, open-loop queue caps) are served by the
+  reference loop's scalar chain in the same run.
 
 Tenant chains are independent (each tenant owns its service slots, see
 :mod:`repro.serving.tenants`), which is what lets an epoch advance all of
@@ -78,7 +80,7 @@ from repro.runtime.faults import (
     resolve_faulted_request,
 )
 from repro.serving.dispatch import ClusterPolicy, FleetDispatcher
-from repro.serving.engine import ArrayServingEngine
+from repro.serving.engine import ArrayServingEngine, vectorizable
 from repro.serving.tenants import TenantReport, TenantRuntime, TenantSpec
 from repro.utils.cache import LRUCache
 
@@ -100,8 +102,9 @@ class ServingReport:
     contention: bool = False
     discipline: str = ""
     max_inflight: Optional[int] = None
-    #: Evaluations skipped by caching (per-tenant latency memos in the
-    #: independent batched loop; the contended-schedule memo under contention).
+    #: Evaluations skipped by caching (the column tenants' latency memos in
+    #: the independent batched loop; the contended-schedule memo under
+    #: contention).
     cache_hits: int = 0
     #: Per-device lane-utilisation and queueing-delay breakdown (contended runs).
     fleet: Optional[FleetLoadReport] = None
@@ -386,9 +389,11 @@ class ServingSimulator:
         requests see an idle fleet at dispatch — the independent-tenants
         model of earlier revisions, reproduced exactly.  Contention-free
         batched runs go through the vectorised column time-wheel
-        (:mod:`repro.serving.engine`); contended runs keep the canonical
-        sequential dispatcher order (the contended loop batches via its
-        schedule memo and the vectorised lane residuals).
+        (:mod:`repro.serving.engine`), except tenants with adaptation hooks
+        or open-loop queue caps, which the scalar loop serves; contended
+        runs keep the canonical sequential dispatcher order (the contended
+        loop batches via its schedule memo and the vectorised lane
+        residuals).
 
         ``schedule_memo`` shares an externally-owned contended-schedule LRU
         across runs (capacity-planner probe reuse); it requires a contended
@@ -432,19 +437,14 @@ class ServingSimulator:
             duration_s,
         )
         tracer = NULL_TRACER if tracer is None else tracer
-        if policy is None and mode == "batched":
-            engine = ArrayServingEngine(self.evaluator)
-            engine.profiler = self.profiler
-            report = engine.run(
-                tenants,
-                duration_s=duration_s,
-                start_s=start_s,
-                fault_ctx=fault_ctx,
-                tracer=tracer,
-            )
-        else:
-            runtimes = [
-                TenantRuntime(
+        engine_run = policy is None and mode == "batched"
+        # One list for every loop, indexed like ``tenants``: the engine's
+        # column tenants get ``None`` here and are served by the engine.
+        runtimes: List[Optional[TenantRuntime]] = [
+            (
+                None
+                if engine_run and vectorizable(spec)
+                else TenantRuntime(
                     spec,
                     start_s,
                     duration_s,
@@ -452,17 +452,36 @@ class ServingSimulator:
                         list(fault_ctx.shed_intervals[i]) if fault_ctx is not None else None
                     ),
                 )
-                for i, spec in enumerate(tenants)
-            ]
-            if policy is not None:
-                report = self._run_contended(
-                    runtimes, duration_s, start_s, mode, policy,
-                    schedule_memo, fault_ctx, tracer,
+            )
+            for i, spec in enumerate(tenants)
+        ]
+        if policy is not None:
+            report = self._run_contended(
+                runtimes, duration_s, start_s, mode, policy,
+                schedule_memo, fault_ctx, tracer,
+            )
+        else:
+            epochs = self._run_independent(runtimes, fault_ctx, tracer)
+            reports = [None if rt is None else rt.report() for rt in runtimes]
+            cache_hits = speculated = 0
+            if engine_run:
+                engine = ArrayServingEngine(self.evaluator)
+                engine.profiler = self.profiler
+                columns, engine_epochs, cache_hits, speculated = engine.run(
+                    tenants, duration_s, start_s, fault_ctx, tracer
                 )
-            else:
-                report = self._run_independent(
-                    runtimes, duration_s, start_s, fault_ctx, tracer
-                )
+                epochs = max(epochs, engine_epochs)
+                reports = [r if c is None else c for r, c in zip(reports, columns)]
+            report = ServingReport(
+                tenants=reports,
+                start_s=start_s,
+                duration_s=duration_s,
+                mode=mode,
+                epochs=epochs,
+                evaluator_kind=type(self.evaluator).__name__,
+                cache_hits=cache_hits,
+                speculated=speculated,
+            )
         if fault_ctx is not None:
             report.faults = build_fault_report(fault_ctx, report.tenants)
         if tracer.enabled:
@@ -476,14 +495,17 @@ class ServingSimulator:
 
     def _run_independent(
         self,
-        runtimes: List[TenantRuntime],
-        duration_s: Optional[float],
-        start_s: float,
+        runtimes: List[Optional[TenantRuntime]],
         fault_ctx: Optional[FaultContext] = None,
         tracer: Tracer = NULL_TRACER,
-    ) -> ServingReport:
-        """The contention-free reference loop: each request sees an idle
-        fleet and is evaluated by one scalar ``evaluate`` call.
+    ) -> int:
+        """The contention-free scalar loop; returns its epoch count.
+
+        Each request sees an idle fleet and is evaluated by one scalar
+        ``evaluate`` call.  It is the whole reference loop, and in a batched
+        run it serves the tenants the array engine cannot (``None`` entries
+        are the engine's and are skipped).  Tenants keep their index in
+        ``runtimes``, the index the retry jitter is drawn with.
 
         On a churning fleet (``fault_ctx``) each dispatch is resolved
         through the shared pure retry-chain walk
@@ -501,7 +523,7 @@ class ServingSimulator:
             dispatches = [
                 (index, runtime, dispatch)
                 for index, runtime in enumerate(runtimes)
-                if not runtime.done and (dispatch := runtime.prepare()) is not None
+                if runtime is not None and not runtime.done and (dispatch := runtime.prepare()) is not None
             ]
             if not dispatches:
                 break
@@ -522,14 +544,7 @@ class ServingSimulator:
                 )
                 emit_resolution(tracer, runtime.spec.name, dispatch.start_s, resolved)
                 runtime.commit_resolved(resolved)
-        return ServingReport(
-            tenants=[runtime.report() for runtime in runtimes],
-            start_s=start_s,
-            duration_s=duration_s,
-            mode="reference",
-            epochs=epochs,
-            evaluator_kind=type(self.evaluator).__name__,
-        )
+        return epochs
 
     def _run_contended(
         self,

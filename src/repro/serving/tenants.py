@@ -9,11 +9,12 @@ optional adaptation hook (the Section V-F controllers of
 
 :class:`TenantRuntime` is the behavioural core of the serving simulator: it
 advances one tenant's request chain — admission, queueing, dispatch, hook
-invocation, deadline accounting — request by request.  The naive
-per-request reference loop, the contended loop and the array engine's
-fallback chains (:mod:`repro.serving.engine`) all drive this *same* runtime
-code; the engine's column tenants replay its float operations in array
-passes, and ``run_with_parity`` holds the two bit-identical.
+invocation, deadline accounting — request by request.  The simulator's
+scalar loop (the reference loop, which in a batched run also serves the
+tenants with hooks or queue caps) and its contended loop drive this runtime;
+the array engine's column tenants (:mod:`repro.serving.engine`) replay its
+float operations in array passes, and ``run_with_parity`` holds the two
+bit-identical.
 
 Service model: the cluster grants each tenant a pool of ``slots`` service
 slots (``slots=1`` is the paper's one-image-in-flight protocol, per stream).
@@ -45,14 +46,12 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.batch import plan_signature
 from repro.runtime.plan import DistributionPlan
 from repro.serving.traffic import ArrivalProcess
-from repro.utils.cache import LRUCache
 
 #: Adaptation hook signature (identical to the streaming simulator's):
 #: called before each dispatch with ``(time_seconds, request_index,
@@ -315,10 +314,11 @@ class TenantRuntime:
     With ``slots > 1`` completions may *overlap* in simulated time, but
     request ``i``'s start depends only on commits ``0..i-1`` (the slot pool
     is a min-heap of free times), so the chain — and every record — stays in
-    request order: the reordering-safe commit.  Both simulator modes and the
-    array engine drive exactly this sequence with exactly these arguments,
-    so every stateful effect — admission decisions, hook invocations,
-    replan logs — happens identically everywhere.
+    request order: the reordering-safe commit.  Every loop that drives a
+    runtime — the scalar loop in both modes and the contended loop — drives
+    exactly this sequence with exactly these arguments, so every stateful
+    effect — admission decisions, hook invocations, replan logs — happens
+    identically everywhere.
     """
 
     def __init__(
@@ -367,15 +367,6 @@ class TenantRuntime:
         self._pending_ordinal = 0
         self._pending_attempt = 1
         self._pending_first_start_s = 0.0
-
-        # Per-tenant plan-evaluation cache (the array engine's fallback
-        # chains): latency by (model, plan structure, network-state
-        # signature).  Controller replans under unchanged conditions — same
-        # strategy, same network — hit here and skip the evaluator entirely.
-        # Plans are pinned next to their structural signature so ids in live
-        # keys cannot be recycled.
-        self._eval_cache = LRUCache(256)
-        self._plan_sigs: Dict[int, Tuple[DistributionPlan, Tuple]] = {}
 
         # Outcome accumulators.
         self.arrivals_seen = 0
@@ -671,35 +662,6 @@ class TenantRuntime:
             self.num_retried += 1
             self.retry_added_ms += resolved.retry_added_ms
         self.commit(resolved.latency_ms)
-
-    # ------------------------------------------------------------------ #
-    def _cache_key(self, plan: DistributionPlan, signature: Tuple[float, ...]) -> Tuple:
-        entry = self._plan_sigs.get(id(plan))
-        if entry is None:
-            entry = (plan, plan_signature(plan))
-            self._plan_sigs[id(plan)] = entry
-        return (id(plan.model), entry[1], signature)
-
-    def cached_latency(
-        self, plan: DistributionPlan, signature: Tuple[float, ...]
-    ) -> Optional[float]:
-        """Latency of an earlier identical (plan, network-state) dispatch.
-
-        Sound for the same reason the batch engine's plan LRU is: an equal
-        key means the scalar evaluator would compute the identical schedule,
-        so replaying the stored float is behaviour-preserving.
-        """
-        return self._eval_cache.get(self._cache_key(plan, signature))
-
-    def cache_latency(
-        self, plan: DistributionPlan, signature: Tuple[float, ...], latency_ms: float
-    ) -> None:
-        """Store one dispatch's evaluated latency under its signature key."""
-        self._eval_cache.put(self._cache_key(plan, signature), float(latency_ms))
-
-    def cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters of the per-tenant plan-evaluation cache."""
-        return self._eval_cache.info()
 
     # ------------------------------------------------------------------ #
     def report(self) -> TenantReport:

@@ -111,6 +111,43 @@ class TestChurnParity:
         assert faults.total_shed > 0
         assert_conserved(report)
 
+    @pytest.mark.parametrize("capped", [(1,), (1, 3)], ids=["queue-cap-on-1", "queue-caps-on-1-3"])
+    def test_tenant_indices_survive_the_split(self, capped):
+        """A batched run splits its tenants between the array engine and the
+        scalar loop (the queue-capped tenants).  Both must index the tenants
+        by their position in the caller's list: the retry jitter is drawn per
+        (attempt, tenant index, ordinal), so renumbering the column tenants
+        0, 2, 3 as 0, 1, 2 — or the scalar tenants 1, 3 as 0, 1 — would move
+        their retries."""
+        from repro.baselines import CoEdgePlanner, MoDNNPlanner, OffloadPlanner
+        from repro.experiments.scenarios import generate_scenario
+
+        devices, network = generate_scenario(8, seed=3).build(seed=3)
+        vgg16 = model_zoo.vgg16()
+        planners = [CoEdgePlanner, MoDNNPlanner, OffloadPlanner, CoEdgePlanner]
+        tenants = [
+            TenantSpec(
+                f"{planner.__name__}-{i}",
+                planner().plan(vgg16, devices, network),
+                traffic=PoissonArrivals(4.0, seed=10 + i),
+                slo=SLO(500.0),
+                queue_capacity=2 if i in capped else None,
+            )
+            for i, planner in enumerate(planners)
+        ]
+        report = run_with_parity(
+            BatchPlanEvaluator(devices, network),
+            PlanEvaluator(devices, network),
+            tenants,
+            duration_s=20.0,
+            faults="churn:crashes=8,leaves=1,joins=1,window_ms=15000",
+            retry=RetryPolicy(max_attempts=3, backoff_ms=25.0, jitter_ms=5.0, seed=1),
+        )
+        retried = [t.num_retried for t in report.tenants]
+        assert all(retried[i] > 0 for i in (0, 2, 3)), f"no retries to move: {retried}"
+        assert report.tenants[1].num_rejected > 0, "queue cap never bit; test is vacuous"
+        assert_conserved(report)
+
     def test_contended_parity_with_churn(self, model, fleet):
         devices, network = fleet
         report = run_with_parity(

@@ -302,7 +302,8 @@ class TestFallbackPathParity:
         assert adaptive.final_method == "coedge"
 
     def test_mixed_fleet_fallback_and_vector(self, model):
-        """Fallback chains share the engine's epochs with column tenants."""
+        """A queue-capped tenant on the scalar loop beside a column tenant on
+        the engine, in one batched run."""
         devices, network = _two_devices()
         tenants = [
             TenantSpec(
