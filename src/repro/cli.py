@@ -28,6 +28,9 @@ Clusters are given either as ad-hoc ``--devices`` specs or as ``--scenario``
 references — a catalogue name (``DB``, ``LA``...) or a procedural-generator
 spec like ``gen:n=32,seed=7,bw=50-300,types=mixed``.
 
+Exit status: 0 on success, 1 when ``analyze`` finds an inexact attribution,
+2 on bad input (one line on stderr).  A traceback is a bug.
+
 Examples
 --------
 ::
@@ -59,9 +62,13 @@ Examples
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.baselines import BASELINE_REGISTRY
 from repro.core.distredge import DistrEdge, DistrEdgeConfig
@@ -73,6 +80,45 @@ from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.serialization import evaluation_to_dict, save_plan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.faults import ChurnSpec, DegradationPolicy, RetryPolicy
+    from repro.serving import ClusterPolicy
+
+#: Each subcommand resolves its flags and files into one of these: the run
+#: step, with every input already bound.
+Run = Callable[[], int]
+
+#: Tuning flags that only mean something with a feature switched on, with
+#: their defaults.  The parser takes its defaults from here, so the "pass
+#: --contention/--churn/--alerts" checks compare against the one copy.
+_CONTENTION_KNOBS = {
+    "discipline": "fifo",
+    "max_inflight": None,
+    "weight": None,
+    "admission": "none",
+    "window_ms": None,
+}
+_CHURN_KNOBS = {
+    "retry_max": 3,
+    "retry_backoff_ms": 50.0,
+    "retry_jitter_ms": 10.0,
+    "retry_timeout_ms": None,
+    "degrade_min_live": None,
+}
+_ALERT_KNOBS = {
+    "alert_fast_s": 5.0,
+    "alert_slow_s": 30.0,
+    "alert_burn": 1.0,
+    "alert_target": 0.05,
+}
+
+
+def _require_switch(args: argparse.Namespace, knobs: dict, enabled: bool, purpose: str) -> None:
+    """Reject tuning flags given without the switch that enables them."""
+    if not enabled and any(getattr(args, dest) != value for dest, value in knobs.items()):
+        flags = "/".join("--" + dest.replace("_", "-") for dest in knobs)
+        raise ValueError(f"{flags} {purpose}")
 
 
 def _parse_device_specs(specs: Sequence[str]) -> List[tuple]:
@@ -99,7 +145,7 @@ def _positive_float(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (slot counts, queue capacities)."""
+    """argparse type: an integer >= 1 (slot counts, queue capacities, --top)."""
     try:
         value = int(text)
     except ValueError:
@@ -109,40 +155,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _scenario_from_args(name: str, bandwidth: Optional[float]) -> Optional[Scenario]:
+def _read_json(path: str):
+    """Load a JSON input file (``OSError`` if unreadable, ``ValueError`` if malformed)."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _scenario_from_args(name: str, bandwidth: Optional[float]) -> Scenario:
     """Resolve a ``--scenario`` argument, applying ``--bandwidth`` if given.
 
-    Shared by ``plan`` and ``compare`` so a scenario name means the *same
-    fleet* in both commands (catalogue Table-I groups default to 200 Mbps;
-    reshape with ``--bandwidth``).  Prints an error and returns ``None`` on
-    failure.
+    Shared by every subcommand so a scenario name means the *same fleet*
+    everywhere (catalogue Table-I groups default to 200 Mbps; reshape with
+    ``--bandwidth``).  Raises ``KeyError``/``ValueError`` on an unknown or
+    malformed name.
     """
-    if name.startswith(GENERATOR_PREFIX) and bandwidth is not None:
+    generated = name.startswith(GENERATOR_PREFIX)
+    if generated and bandwidth is not None:
         print(
             "note: --bandwidth does not apply to gen: scenarios; "
             "use the spec's bw= key (e.g. gen:n=8,bw=100)",
             file=sys.stderr,
         )
-    try:
-        scenario = resolve_scenario(name)
-    except KeyError as exc:
-        # str(KeyError) is the repr of its message; unwrap it.
-        print(exc.args[0], file=sys.stderr)
-        return None
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-    if bandwidth is not None and not name.startswith(GENERATOR_PREFIX):
+    scenario = resolve_scenario(name)
+    if bandwidth is not None and not generated:
         scenario = scenario.with_bandwidth(bandwidth)
     return scenario
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    model = model_zoo.get(args.model)
+def _resolve_plan(args: argparse.Namespace) -> Run:
     if args.scenario is not None:
         scenario = _scenario_from_args(args.scenario, args.bandwidth)
-        if scenario is None:
-            return 2
     else:
         if args.bandwidth is not None:
             print(
@@ -152,11 +197,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             )
         scenario = Scenario.adhoc(_parse_device_specs(args.devices))
     devices, network = scenario.build(seed=args.seed)
-    if scenario.name != "adhoc":
-        print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
-    from repro.obs import NULL_PROFILER, Profiler
-
-    profiler = Profiler() if args.profile else NULL_PROFILER
     if args.method == "distredge":
         planner = DistrEdge(
             DistrEdgeConfig(
@@ -171,11 +211,24 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
+    else:
+        planner = BASELINE_REGISTRY[args.method]()
+    return partial(_run_plan, args, scenario, planner, devices, network)
+
+
+def _run_plan(args: argparse.Namespace, scenario, planner, devices, network) -> int:
+    from repro.obs import NULL_PROFILER, Profiler
+
+    if scenario.name != "adhoc":
+        print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
+    model = model_zoo.get(args.model)
+    profiler = Profiler() if args.profile else NULL_PROFILER
+    if isinstance(planner, DistrEdge):
         planner.profiler = profiler
         plan = planner.plan(model, devices, network)
     else:
         with profiler.section("plan.search"):
-            plan = BASELINE_REGISTRY[args.method]().plan(model, devices, network)
+            plan = planner.plan(model, devices, network)
     print(plan.describe())
     with profiler.section("plan.evaluate"):
         result = PlanEvaluator(devices, network).evaluate(plan)
@@ -188,74 +241,75 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
+def _resolve_evaluate(args: argparse.Namespace) -> Run:
     from repro.runtime.plan import DistributionPlan
     from repro.runtime.serialization import plan_from_dict
 
-    data = json.loads(Path(args.plan).read_text())
-    if args.scenario is not None:
-        # Re-evaluate the saved strategy on a fleet resolved exactly as
-        # plan/compare resolve it (catalogue name or gen: spec, --bandwidth
-        # reshaping catalogue links).  Device types must match the plan.
-        scenario = _scenario_from_args(args.scenario, args.bandwidth)
-        if scenario is None:
-            return 2
-        plan = plan_from_dict(data)
-        devices, network = scenario.build(seed=args.seed)
-        if [d.type_name for d in devices] != [d.type_name for d in plan.devices]:
-            print(
-                f"scenario {scenario.name!r} fleet "
-                f"({[d.type_name for d in devices]}) does not match the plan's "
-                f"devices ({[d.type_name for d in plan.devices]})",
-                file=sys.stderr,
-            )
-            return 2
-        plan = DistributionPlan(
-            plan.model,
-            devices,
-            plan.boundaries,
-            plan.decisions,
-            head_device=plan.head_device,
-            method=plan.method,
-        )
-        print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
-    else:
+    data = _read_json(args.plan)
+    if args.scenario is None:
         if args.bandwidth is not None:
             for entry in data["devices"]:
                 entry["bandwidth_mbps"] = float(args.bandwidth)
         plan = plan_from_dict(data)
-        devices = plan.devices
-        network = NetworkModel.constant_from_devices(devices)
-    result = PlanEvaluator(devices, network).evaluate(plan)
+        return partial(
+            _run_evaluate, None, plan, NetworkModel.constant_from_devices(plan.devices)
+        )
+    # Re-evaluate the saved strategy on a fleet resolved exactly as
+    # plan/compare resolve it (catalogue name or gen: spec, --bandwidth
+    # reshaping catalogue links).  Device types must match the plan.
+    scenario = _scenario_from_args(args.scenario, args.bandwidth)
+    plan = plan_from_dict(data)
+    devices, network = scenario.build(seed=args.seed)
+    if [d.type_name for d in devices] != [d.type_name for d in plan.devices]:
+        raise ValueError(
+            f"scenario {scenario.name!r} fleet "
+            f"({[d.type_name for d in devices]}) does not match the plan's "
+            f"devices ({[d.type_name for d in plan.devices]})"
+        )
+    plan = DistributionPlan(
+        plan.model,
+        devices,
+        plan.boundaries,
+        plan.decisions,
+        head_device=plan.head_device,
+        method=plan.method,
+    )
+    return partial(_run_evaluate, scenario, plan, network)
+
+
+def _run_evaluate(scenario: Optional[Scenario], plan, network) -> int:
+    if scenario is not None:
+        print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
+    result = PlanEvaluator(plan.devices, network).evaluate(plan)
     summary = evaluation_to_dict(result)
     print(f"method: {plan.method}  model: {plan.model.name}")
     print(f"latency: {summary['end_to_end_ms']:.1f} ms   IPS: {summary['ips']:.2f}")
     print(f"max compute: {summary['max_compute_ms']:.1f} ms   "
           f"max transmission: {summary['max_transmission_ms']:.1f} ms")
-    for device, compute in zip(devices, summary["per_device_compute_ms"]):
+    for device, compute in zip(plan.devices, summary["per_device_compute_ms"]):
         print(f"  {device.device_id:12s} compute {compute:8.1f} ms")
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _resolve_compare(args: argparse.Namespace) -> Run:
+    scenario = _scenario_from_args(args.scenario, args.bandwidth)
+    config = HarnessConfig(
+        osds_episodes=args.episodes,
+        num_random_splits=args.random_splits,
+        seed=args.seed,
+        osds_episode_batch=args.episode_batch,
+        osds_policy_refresh=args.policy_refresh,
+    )
+    # compare always runs DistrEdge: building its config now makes a bad
+    # planner knob an input error rather than a failure mid-comparison.
+    config.distredge_config(scenario.num_devices)
+    return partial(_run_compare, args, scenario, ExperimentHarness(config))
+
+
+def _run_compare(args: argparse.Namespace, scenario: Scenario, harness) -> int:
     from repro.obs import NULL_PROFILER, Profiler
 
-    scenario = _scenario_from_args(args.scenario, args.bandwidth)
-    if scenario is None:
-        return 2
     profiler = Profiler() if args.profile else NULL_PROFILER
-    harness = ExperimentHarness(
-        HarnessConfig(
-            osds_episodes=args.episodes,
-            num_random_splits=args.random_splits,
-            seed=args.seed,
-            osds_episode_batch=args.episode_batch,
-            osds_policy_refresh=args.policy_refresh,
-        )
-    )
     with profiler.section("compare.run"):
         results = harness.compare(scenario, methods=ALL_METHODS, model_name=args.model)
     print(
@@ -311,135 +365,69 @@ def _provenance(args: argparse.Namespace) -> dict:
 
 
 def _write_report_json(path: str, payload, provenance=None) -> None:
-    import json
-    from pathlib import Path
-
     if provenance is not None and isinstance(payload, dict):
         payload = {**payload, "provenance": provenance}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"report written to {path}")
 
 
-def _cmd_serve_figure(args: argparse.Namespace, parsed, deadlines, weights, policy) -> int:
-    """The ``serve --figure`` path: deadline-miss vs offered-load sweep."""
-    from repro.experiments.figures import serving_load_curve
-    from repro.experiments.reporting import format_series
+@dataclass
+class _ServingInputs:
+    """What ``serve`` and ``analyze`` resolve from the flags they share.
 
-    if args.mode != "batched":
-        print(f"note: --figure always sweeps in batched mode; --mode {args.mode} ignored",
-              file=sys.stderr)
-    models = {model_name for _, model_name in parsed}
-    if len(models) > 1:
-        print(
-            f"--figure sweeps one model across rates; tenants name {sorted(models)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        rates = [float(part) for part in args.figure_rates.split(",") if part.strip()]
-    except ValueError:
-        print(f"--figure-rates {args.figure_rates!r} contains a non-number", file=sys.stderr)
-        return 2
-    if not rates or any(rate <= 0 for rate in rates):
-        print(f"--figure-rates must be positive rates, got {args.figure_rates!r}", file=sys.stderr)
-        return 2
-    scenario = _scenario_from_args(args.scenario, args.bandwidth)
-    if scenario is None:
-        return 2
-    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
-    curve = serving_load_curve(
-        harness,
-        scenario,
-        rates_rps=rates,
-        methods=[method for method, _ in parsed],
-        model_name=next(iter(models)),
-        duration_s=args.duration,
-        deadline_ms=deadlines,
-        policy=policy,
-        seed=args.seed,
-        weight=weights,
-    )
-    print(format_series(curve, title="deadline-miss rate vs offered load"))
-    if args.report_json:
-        _write_report_json(args.report_json, curve, provenance=_provenance(args))
-    return 0
-
-
-def _parse_fleet_range(spec: str) -> Tuple[int, int]:
-    """Parse a ``MIN:MAX`` fleet-size range."""
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"--fleet-range must be MIN:MAX, got {spec!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"--fleet-range must be two integers MIN:MAX, got {spec!r}")
-    return lo, hi
-
-
-def _control_plane_inputs(args: argparse.Namespace, parsed, traffics):
-    """Shared validation for --plan-capacity / --autoscale.
-
-    Both resize the fleet between runs, so they need a seeded ``gen:``
-    scenario spec (catalogue fleets have a fixed size) and a single model
-    across tenants (one :meth:`ExperimentHarness.serve_scenario` call).
-    Returns ``(methods, model_name, traffic_list)`` or ``None`` after
-    printing the reason to stderr.
+    Per-tenant lists are aligned with ``refs``.  ``faults`` is the parsed
+    ``churn:`` spec, not yet resolved against a fleet: the control-plane
+    paths re-resolve it at every fleet size.
     """
-    if not args.scenario.startswith(GENERATOR_PREFIX):
-        print(
-            f"--plan-capacity/--autoscale resize the fleet, so --scenario must "
-            f"be a seeded {GENERATOR_PREFIX!r} spec (e.g. gen:n=2,seed=3); "
-            f"got {args.scenario!r}",
-            file=sys.stderr,
-        )
-        return None
-    models = {model_name for _, model_name in parsed}
-    if len(models) > 1:
-        print(
-            f"--plan-capacity/--autoscale serve one model across fleet sizes; "
-            f"tenants name {sorted(models)}",
-            file=sys.stderr,
-        )
-        return None
-    try:
-        traffic_list = [
-            _resolve_traffic_or_poisson(spec, args.rate, args.seed + i)
-            for i, spec in enumerate(traffics)
-        ]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-    return [m for m, _ in parsed], next(iter(models)), traffic_list
+
+    scenario: Scenario
+    refs: List[Tuple[str, str]]  # (method, model name)
+    planners: list
+    traffics: list
+    deadlines: List[float]
+    capacities: List[Optional[int]]
+    weights: List[float]
+    slots: List[int]
+    policy: Optional[ClusterPolicy]
+    faults: Optional[ChurnSpec]
+    retry: Optional[RetryPolicy]
+    degradation: Optional[DegradationPolicy]
+
+    @property
+    def methods(self) -> List[str]:
+        return [method for method, _ in self.refs]
+
+    def single_model(self, purpose: str) -> str:
+        """The one model every tenant names (sweeps and resizing need one)."""
+        models = sorted({model_name for _, model_name in self.refs})
+        if len(models) > 1:
+            raise ValueError(f"{purpose} one model; tenants name {models}")
+        return models[0]
 
 
-def _fault_policies_from_args(args: argparse.Namespace):
-    """Resolve ``--churn``/``--retry-*``/``--degrade-min-live`` into policies.
-
-    Returns ``(faults, retry, degradation)`` — all ``None`` without
-    ``--churn`` — or ``None`` after printing the reason to stderr when the
-    combination is invalid (mirroring the ``--contention`` gate: the retry
-    and degradation knobs require ``--churn``).
-    """
+def _resolve_serving(args: argparse.Namespace) -> _ServingInputs:
+    """Resolve the flags of :func:`_add_serving_flags` (``serve`` and ``analyze``)."""
     from repro.runtime.faults import DegradationPolicy, RetryPolicy, parse_churn_spec
+    from repro.serving import ClusterPolicy, PoissonArrivals, resolve_traffic
 
-    if args.churn is None:
-        if (
-            args.retry_max != 3
-            or args.retry_backoff_ms != 50.0
-            or args.retry_jitter_ms != 10.0
-            or args.retry_timeout_ms is not None
-            or args.degrade_min_live is not None
-        ):
-            print(
-                "--retry-max/--retry-backoff-ms/--retry-jitter-ms/"
-                "--retry-timeout-ms/--degrade-min-live model fleet churn; "
-                "pass --churn to enable them",
-                file=sys.stderr,
-            )
-            return None
-        return (None, None, None)
-    try:
+    refs = [_parse_tenant_ref(ref, args.model) for ref in args.tenants or ["coedge", "offload"]]
+    weights = _broadcast(args.weight, len(refs), 1.0, "--weight")
+    if not all(w > 0 for w in weights):
+        raise ValueError(f"--weight values must be > 0, got {weights}")
+    _require_switch(args, _CONTENTION_KNOBS, args.contention,
+                    "model shared-fleet contention; pass --contention to enable it")
+    _require_switch(args, _CHURN_KNOBS, args.churn is not None,
+                    "model fleet churn; pass --churn to enable them")
+    policy = faults = retry = degradation = None
+    if args.contention:
+        policy = ClusterPolicy(
+            discipline=args.discipline,
+            max_inflight=args.max_inflight,
+            admission=args.admission,
+            on_predicted_miss=args.on_predicted_miss,
+            window_ms=args.window_ms,
+        )
+    if args.churn is not None:
         faults = parse_churn_spec(args.churn)
         retry = RetryPolicy(
             max_attempts=args.retry_max,
@@ -448,180 +436,175 @@ def _fault_policies_from_args(args: argparse.Namespace):
             timeout_ms=args.retry_timeout_ms,
             seed=args.seed,
         )
-        degradation = (
-            DegradationPolicy(min_live_fraction=args.degrade_min_live)
-            if args.degrade_min_live is not None
-            else None
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-    return (faults, retry, degradation)
-
-
-def _resolve_traffic_or_poisson(spec, rate: float, seed: int):
-    """A ``traffic:`` spec, or the default Poisson process when absent."""
-    from repro.serving import PoissonArrivals, resolve_traffic
-
-    return resolve_traffic(spec) if spec is not None else PoissonArrivals(
-        rate_rps=rate, seed=seed
-    )
-
-
-def _policy_from_args(args: argparse.Namespace):
-    """Resolve ``--contention`` and its knobs into a cluster policy.
-
-    Returns ``(True, policy_or_None)`` — ``None`` without ``--contention`` —
-    or ``(False, None)`` after printing the reason to stderr (the contention
-    knobs require ``--contention``, mirroring the ``--churn`` gate).  Shared
-    by ``serve`` and ``analyze`` so the same flags resolve identically.
-    """
-    from repro.serving import ClusterPolicy
-
-    if args.contention:
-        try:
-            return True, ClusterPolicy(
-                discipline=args.discipline,
-                max_inflight=args.max_inflight,
-                admission=args.admission,
-                on_predicted_miss=args.on_predicted_miss,
-                window_ms=args.window_ms,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return False, None
-    if (
-        args.discipline != "fifo"
-        or args.max_inflight is not None
-        or args.weight
-        or args.admission != "none"
-        or args.window_ms is not None
-    ):
-        print(
-            "--discipline/--max-inflight/--weight/--admission/--window-ms model "
-            "shared-fleet contention; pass --contention to enable it",
-            file=sys.stderr,
-        )
-        return False, None
-    return True, None
-
-
-def _build_tenants(
-    args: argparse.Namespace, parsed, devices, network,
-    traffics, deadlines, capacities, weights, slot_counts,
-):
-    """Plan each ``--tenant`` method on the fleet and wrap it in a TenantSpec.
-
-    Returns the tenant list, or ``None`` after printing a bad ``--traffic``
-    spec to stderr.  Shared by ``serve`` and ``analyze``.
-    """
-    from repro.serving import SLO, PoissonArrivals, TenantSpec, resolve_traffic
-
-    tenants = []
-    methods_only = [m for m, _ in parsed]
-    for i, (method, model_name) in enumerate(parsed):
-        model = model_zoo.get(model_name)
-        if method == "distredge":
-            planner = DistrEdge(
-                DistrEdgeConfig(
-                    osds=OSDSConfig(max_episodes=args.episodes, seed=args.seed),
-                    seed=args.seed,
-                )
-            )
-            plan = planner.plan(model, devices, network)
-        else:
-            plan = BASELINE_REGISTRY[method]().plan(model, devices, network)
-        try:
-            traffic = (
-                resolve_traffic(traffics[i])
-                if traffics[i] is not None
-                else PoissonArrivals(rate_rps=args.rate, seed=args.seed + i)
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return None
-        # Suffix only on duplicate methods (same rule as
-        # ExperimentHarness.serve_scenario, so reports correlate).
-        tenants.append(
-            TenantSpec(
-                name=method if methods_only.count(method) == 1 else f"{method}-{i}",
-                plan=plan,
-                traffic=traffic,
-                slo=SLO(deadline_ms=deadlines[i]),
-                queue_capacity=capacities[i],
-                weight=weights[i],
-                slots=slot_counts[i],
-            )
-        )
-    return tenants
-
-
-def _cmd_serve_plan_capacity(
-    args: argparse.Namespace, parsed, traffics, deadlines, weights, policy,
-    faults, retry, degradation,
-) -> int:
-    """The ``serve --plan-capacity`` path: min fleet size for a miss target."""
-    from repro.experiments.reporting import format_capacity_plan
-    from repro.serving.control import CapacityPlanConfig, CapacityPlanner
-
-    inputs = _control_plane_inputs(args, parsed, traffics)
-    if inputs is None:
-        return 2
-    methods, model_name, traffic_list = inputs
-    try:
-        lo, hi = _parse_fleet_range(args.fleet_range)
-        config = CapacityPlanConfig(
-            min_devices=lo, max_devices=hi, target_miss_rate=args.target_miss_rate
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
-    probe = harness.capacity_probe_runner(
-        args.scenario,
-        methods=methods,
-        model_name=model_name,
-        traffic=traffic_list,
-        deadline_ms=deadlines,
-        queue_capacity=None,
-        duration_s=args.duration,
+        if args.degrade_min_live is not None:
+            degradation = DegradationPolicy(min_live_fraction=args.degrade_min_live)
+    traffics = [
+        resolve_traffic(spec) if spec is not None
+        else PoissonArrivals(rate_rps=args.rate, seed=args.seed + i)
+        for i, spec in enumerate(_broadcast(args.traffic, len(refs), None, "--traffic"))
+    ]
+    return _ServingInputs(
+        scenario=_scenario_from_args(args.scenario, args.bandwidth),
+        refs=refs,
+        planners=[_tenant_planner(args, method) for method, _ in refs],
+        traffics=traffics,
+        deadlines=_broadcast(args.deadline_ms, len(refs), 1000.0, "--deadline-ms"),
+        capacities=_broadcast(args.queue_capacity, len(refs), None, "--queue-capacity"),
+        weights=weights,
+        slots=_broadcast(args.slots, len(refs), 1, "--slots"),
         policy=policy,
-        weight=weights,
-        slots=args.slots or 1,
         faults=faults,
         retry=retry,
         degradation=degradation,
     )
-    tracer = None
-    if args.trace_json:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    planner = CapacityPlanner(probe, config, tracer=tracer)
-    plan = planner.plan()
-    print(format_capacity_plan(plan, title="capacity plan"))
-    if tracer is not None:
-        tracer.write_chrome(args.trace_json, provenance=_provenance(args))
-        print(f"trace written to {args.trace_json}")
-    if args.report_json:
-        _write_report_json(args.report_json, plan.to_dict(), provenance=_provenance(args))
-    return 0
 
 
-def _cmd_serve_autoscale(
-    args: argparse.Namespace, parsed, traffics, deadlines, weights, policy,
-    faults, retry, degradation,
-) -> int:
-    """The ``serve --autoscale`` path: windowed fleet resizing."""
-    from repro.experiments.reporting import format_autoscale_report
-    from repro.serving.control import AutoscalerConfig, FleetAutoscaler
+def _tenant_planner(args: argparse.Namespace, method: str):
+    if method == "distredge":
+        return DistrEdge(
+            DistrEdgeConfig(
+                osds=OSDSConfig(max_episodes=args.episodes, seed=args.seed),
+                seed=args.seed,
+            )
+        )
+    return BASELINE_REGISTRY[method]()
 
-    inputs = _control_plane_inputs(args, parsed, traffics)
-    if inputs is None:
-        return 2
-    methods, model_name, traffic_list = inputs
-    try:
-        lo, hi = _parse_fleet_range(args.fleet_range)
+
+def _build_fleet(args: argparse.Namespace, inputs: _ServingInputs):
+    """Build a single run's fleet and resolve ``--churn`` against it.
+
+    Resolving up front makes a bad device id in the spec an input error
+    rather than a failure mid-run.
+    """
+    from repro.runtime.faults import resolve_churn
+
+    devices, network = inputs.scenario.build(seed=args.seed)
+    faults = inputs.faults
+    if faults is not None:
+        faults = resolve_churn(faults, inputs.scenario.num_devices)
+    return devices, network, faults
+
+
+def _plan_tenants(inputs: _ServingInputs, devices, network) -> list:
+    """Plan each tenant on the fleet and wrap it in a TenantSpec."""
+    from repro.serving import SLO, TenantSpec
+
+    methods = inputs.methods
+    return [
+        TenantSpec(
+            # Suffix only on duplicate methods (same rule as
+            # ExperimentHarness.serve_scenario, so reports correlate).
+            name=method if methods.count(method) == 1 else f"{method}-{i}",
+            plan=planner.plan(model_zoo.get(model_name), devices, network),
+            traffic=inputs.traffics[i],
+            slo=SLO(deadline_ms=inputs.deadlines[i]),
+            queue_capacity=inputs.capacities[i],
+            weight=inputs.weights[i],
+            slots=inputs.slots[i],
+        )
+        for i, ((method, model_name), planner) in enumerate(zip(inputs.refs, inputs.planners))
+    ]
+
+
+def _resolve_serve(args: argparse.Namespace) -> Run:
+    inputs = _resolve_serving(args)
+    alerting = args.alerts or args.alerts_json
+    _require_switch(args, _ALERT_KNOBS, alerting,
+                    "tune SLO burn-rate alerting; pass --alerts or --alerts-json to enable it")
+    alert_monitor = None
+    if alerting:
+        from repro.obs.slo import BurnRateRule, SLOMonitor
+
+        rule = BurnRateRule("burn", args.alert_fast_s, args.alert_slow_s, args.alert_burn)
+        alert_monitor = SLOMonitor(rules=(rule,), default_target=args.alert_target)
+    if args.plan_capacity or args.autoscale:
+        if args.plan_capacity and args.autoscale:
+            raise ValueError("--plan-capacity and --autoscale are mutually exclusive")
+        if args.metrics_json or args.profile or alert_monitor is not None:
+            raise ValueError(
+                "--metrics-json/--profile/--alerts instrument a single "
+                "serving run; --plan-capacity/--autoscale run many (use "
+                "--trace-json for the control-plane timeline)"
+            )
+        return _resolve_control_plane(args, inputs)
+    if args.figure:
+        if args.trace_json or args.metrics_json or args.profile or alert_monitor is not None:
+            raise ValueError(
+                "--trace-json/--metrics-json/--profile/--alerts instrument a "
+                "single serving run; --figure sweeps many (drop --figure or "
+                "the observability flags)"
+            )
+        if inputs.faults is not None:
+            raise ValueError(
+                "--figure sweeps offered load on an immortal fleet; drop --churn"
+            )
+        rates = [float(part) for part in args.figure_rates.split(",") if part.strip()]
+        if not rates or not all(math.isfinite(rate) and rate > 0 for rate in rates):
+            raise ValueError(
+                f"--figure-rates must be finite positive rates, got {args.figure_rates!r}"
+            )
+        model_name = inputs.single_model("--figure sweeps")
+        return partial(_run_serve_figure, args, inputs, rates, model_name)
+    return partial(_run_serve, args, inputs, _build_fleet(args, inputs), alert_monitor)
+
+
+def _resolve_control_plane(args: argparse.Namespace, inputs: _ServingInputs) -> Run:
+    """``serve --plan-capacity`` / ``--autoscale``: runs that resize the fleet.
+
+    Both need ``--contention``, a seeded ``gen:`` scenario spec (catalogue
+    fleets have a fixed size) and a single model across tenants (one
+    :meth:`ExperimentHarness.serve_scenario` call per fleet size).
+    """
+    from repro.experiments.reporting import format_autoscale_report, format_capacity_plan
+    from repro.obs import Tracer
+    from repro.serving.control import (
+        AutoscalerConfig,
+        CapacityPlanConfig,
+        CapacityPlanner,
+        FleetAutoscaler,
+    )
+
+    if inputs.policy is None:
+        raise ValueError(
+            "--plan-capacity/--autoscale size fleets against contended "
+            "serving; pass --contention (typically with --admission predictive)"
+        )
+    if not args.scenario.startswith(GENERATOR_PREFIX):
+        raise ValueError(
+            f"--plan-capacity/--autoscale resize the fleet, so --scenario must "
+            f"be a seeded {GENERATOR_PREFIX!r} spec (e.g. gen:n=2,seed=3); "
+            f"got {args.scenario!r}"
+        )
+    model_name = inputs.single_model("--plan-capacity/--autoscale serve")
+    parts = args.fleet_range.split(":")
+    if len(parts) != 2 or not all(part.strip().isdigit() for part in parts):
+        raise ValueError(f"--fleet-range must be two integers MIN:MAX, got {args.fleet_range!r}")
+    lo, hi = int(parts[0]), int(parts[1])
+    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
+    tracer = Tracer() if args.trace_json else None
+    runner_args = dict(
+        methods=inputs.methods,
+        model_name=model_name,
+        traffic=inputs.traffics,
+        deadline_ms=inputs.deadlines,
+        queue_capacity=None,
+        policy=inputs.policy,
+        weight=inputs.weights,
+        slots=inputs.slots,
+        faults=inputs.faults,
+        retry=inputs.retry,
+        degradation=inputs.degradation,
+    )
+    if args.plan_capacity:
+        config = CapacityPlanConfig(
+            min_devices=lo, max_devices=hi, target_miss_rate=args.target_miss_rate
+        )
+        probe = harness.capacity_probe_runner(
+            args.scenario, duration_s=args.duration, **runner_args
+        )
+        step = CapacityPlanner(probe, config, tracer=tracer).plan
+        render = partial(format_capacity_plan, title="capacity plan")
+    else:
         config = AutoscalerConfig(
             min_devices=lo,
             max_devices=hi,
@@ -635,35 +618,18 @@ def _cmd_serve_autoscale(
             burn_threshold=args.burn_threshold,
             burn_windows=args.burn_windows,
         )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
-    run_window = harness.autoscale_window_runner(
-        args.scenario,
-        window_s=args.window_s,
-        num_windows=args.windows,
-        methods=methods,
-        model_name=model_name,
-        traffic=traffic_list,
-        deadline_ms=deadlines,
-        queue_capacity=None,
-        policy=policy,
-        weight=weights,
-        slots=args.slots or 1,
-        faults=faults,
-        retry=retry,
-        degradation=degradation,
-    )
-    tracer = None
-    if args.trace_json:
-        from repro.obs import Tracer
+        run_window = harness.autoscale_window_runner(
+            args.scenario, window_s=args.window_s, num_windows=args.windows, **runner_args
+        )
+        autoscaler = FleetAutoscaler(run_window, config, tracer=tracer)
+        step = partial(autoscaler.run, args.windows, initial_devices=lo)
+        render = partial(format_autoscale_report, title="autoscaled serving")
+    return partial(_run_control_plane, args, step, render, tracer)
 
-        tracer = Tracer()
-    report = FleetAutoscaler(run_window, config, tracer=tracer).run(
-        args.windows, initial_devices=lo
-    )
-    print(format_autoscale_report(report, title="autoscaled serving"))
+
+def _run_control_plane(args: argparse.Namespace, step, render, tracer) -> int:
+    report = step()
+    print(render(report))
     if tracer is not None:
         tracer.write_chrome(args.trace_json, provenance=_provenance(args))
         print(f"trace written to {args.trace_json}")
@@ -672,124 +638,49 @@ def _cmd_serve_autoscale(
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.runtime.batch import BatchPlanEvaluator
-    from repro.serving import ServingSimulator, run_with_parity
+def _run_serve_figure(
+    args: argparse.Namespace, inputs: _ServingInputs, rates: List[float], model_name: str
+) -> int:
+    """The ``serve --figure`` path: deadline-miss vs offered-load sweep."""
+    from repro.experiments.figures import serving_load_curve
+    from repro.experiments.reporting import format_series
+
+    if args.mode != "batched":
+        print(f"note: --figure always sweeps in batched mode; --mode {args.mode} ignored",
+              file=sys.stderr)
+    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
+    curve = serving_load_curve(
+        harness,
+        inputs.scenario,
+        rates_rps=rates,
+        methods=inputs.methods,
+        model_name=model_name,
+        duration_s=args.duration,
+        deadline_ms=inputs.deadlines,
+        policy=inputs.policy,
+        seed=args.seed,
+        weight=inputs.weights,
+    )
+    print(format_series(curve, title="deadline-miss rate vs offered load"))
+    if args.report_json:
+        _write_report_json(args.report_json, curve, provenance=_provenance(args))
+    return 0
+
+
+def _run_serve(
+    args: argparse.Namespace, inputs: _ServingInputs, fleet, alert_monitor
+) -> int:
     from repro.experiments.reporting import (
         format_fault_report,
         format_fleet_table,
         format_serving_table,
     )
-    from repro.runtime.faults import resolve_churn
+    from repro.runtime.batch import BatchPlanEvaluator
+    from repro.serving import ServingSimulator, run_with_parity
 
-    refs = args.tenants or ["coedge", "offload"]
-    try:
-        parsed = [_parse_tenant_ref(ref, args.model) for ref in refs]
-        traffics = _broadcast(args.traffic, len(parsed), None, "--traffic")
-        deadlines = _broadcast(args.deadline_ms, len(parsed), 1000.0, "--deadline-ms")
-        capacities = _broadcast(args.queue_capacity, len(parsed), None, "--queue-capacity")
-        weights = _broadcast(args.weight, len(parsed), 1.0, "--weight")
-        slot_counts = [int(s) for s in _broadcast(args.slots, len(parsed), 1, "--slots")]
-        if any(w <= 0 for w in weights):
-            raise ValueError(f"--weight values must be > 0, got {weights}")
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    ok, policy = _policy_from_args(args)
-    if not ok:
-        return 2
-    fault_args = _fault_policies_from_args(args)
-    if fault_args is None:
-        return 2
-    faults, retry, degradation = fault_args
-    alert_monitor = None
-    if args.alerts or args.alerts_json:
-        from repro.obs.slo import BurnRateRule, SLOMonitor
-
-        try:
-            rule = BurnRateRule(
-                "burn", args.alert_fast_s, args.alert_slow_s, args.alert_burn
-            )
-            alert_monitor = SLOMonitor(rules=(rule,), default_target=args.alert_target)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    elif (
-        args.alert_fast_s != 5.0
-        or args.alert_slow_s != 30.0
-        or args.alert_burn != 1.0
-        or args.alert_target != 0.05
-    ):
-        print(
-            "--alert-fast-s/--alert-slow-s/--alert-burn/--alert-target tune "
-            "SLO burn-rate alerting; pass --alerts or --alerts-json to "
-            "enable it",
-            file=sys.stderr,
-        )
-        return 2
-    if args.plan_capacity or args.autoscale:
-        if args.plan_capacity and args.autoscale:
-            print("--plan-capacity and --autoscale are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        if args.metrics_json or args.profile or alert_monitor is not None:
-            print(
-                "--metrics-json/--profile/--alerts instrument a single "
-                "serving run; --plan-capacity/--autoscale run many (use "
-                "--trace-json for the control-plane timeline)",
-                file=sys.stderr,
-            )
-            return 2
-        if policy is None:
-            print(
-                "--plan-capacity/--autoscale size fleets against contended "
-                "serving; pass --contention (typically with "
-                "--admission predictive)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.plan_capacity:
-            return _cmd_serve_plan_capacity(
-                args, parsed, traffics, deadlines, weights, policy,
-                faults, retry, degradation,
-            )
-        return _cmd_serve_autoscale(
-            args, parsed, traffics, deadlines, weights, policy,
-            faults, retry, degradation,
-        )
-    if args.figure:
-        if args.trace_json or args.metrics_json or args.profile or alert_monitor is not None:
-            print(
-                "--trace-json/--metrics-json/--profile/--alerts instrument a "
-                "single serving run; --figure sweeps many (drop --figure or "
-                "the observability flags)",
-                file=sys.stderr,
-            )
-            return 2
-        if faults is not None:
-            print(
-                "--figure sweeps offered load on an immortal fleet; use "
-                "repro.experiments.figures.degradation_curve for the "
-                "crash-count sweep",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_serve_figure(args, parsed, deadlines, weights, policy)
-    scenario = _scenario_from_args(args.scenario, args.bandwidth)
-    if scenario is None:
-        return 2
-    if faults is not None:
-        # Resolve against the fleet up front so a bad device id in the spec
-        # fails with exit code 2 instead of a traceback mid-run.
-        try:
-            faults = resolve_churn(faults, scenario.num_devices)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    devices, network = scenario.build(seed=args.seed)
+    devices, network, faults = fleet
     evaluator = BatchPlanEvaluator(devices, network)
-    print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
+    print(f"scenario: {inputs.scenario.name} ({inputs.scenario.num_devices} providers)")
     tracer = metrics = profiler = None
     if args.trace_json or args.metrics_json or args.profile:
         from repro.obs import MetricsRegistry, Profiler, Tracer, record_serving_report
@@ -801,25 +692,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.profile:
             profiler = Profiler()
             evaluator.profiler = profiler
-    tenants = _build_tenants(
-        args, parsed, devices, network,
-        traffics, deadlines, capacities, weights, slot_counts,
+    tenants = _plan_tenants(inputs, devices, network)
+    run_args = dict(
+        duration_s=args.duration,
+        policy=inputs.policy,
+        faults=faults,
+        retry=inputs.retry,
+        degradation=inputs.degradation,
+        tracer=tracer,
     )
-    if tenants is None:
-        return 2
     if args.mode == "parity":
         reference = PlanEvaluator(devices, network)
-        report = run_with_parity(
-            evaluator,
-            reference,
-            tenants,
-            duration_s=args.duration,
-            policy=policy,
-            faults=faults,
-            retry=retry,
-            degradation=degradation,
-            tracer=tracer,
-        )
+        report = run_with_parity(evaluator, reference, tenants, **run_args)
         print("parity: batched loop is bit-identical to the reference loop")
         if metrics is not None:
             # run_with_parity returns the committed report; derive the
@@ -829,17 +713,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         simulator = ServingSimulator(evaluator)
         if profiler is not None:
             simulator.profiler = profiler
-        report = simulator.run(
-            tenants,
-            duration_s=args.duration,
-            mode=args.mode,
-            policy=policy,
-            faults=faults,
-            retry=retry,
-            degradation=degradation,
-            tracer=tracer,
-            metrics=metrics,
-        )
+        report = simulator.run(tenants, mode=args.mode, metrics=metrics, **run_args)
     print(format_serving_table(report))
     if report.fleet is not None:
         print(format_fleet_table(report, title="fleet lane load"))
@@ -863,13 +737,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracer.write_chrome(args.trace_json, provenance=_provenance(args))
         print(f"trace written to {args.trace_json}")
     if metrics is not None:
-        import json
-        from pathlib import Path
-
         snapshot = {**metrics.snapshot(), "provenance": _provenance(args)}
-        Path(args.metrics_json).write_text(
-            json.dumps(snapshot, indent=2) + "\n"
-        )
+        Path(args.metrics_json).write_text(json.dumps(snapshot, indent=2) + "\n")
         print(f"metrics written to {args.metrics_json}")
     if profiler is not None:
         print(profiler.format_table())
@@ -878,96 +747,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyze_inline_run(args: argparse.Namespace):
-    """Run one traced batched serving run for ``repro analyze``.
+def _resolve_analyze(args: argparse.Namespace) -> Run:
+    if args.trace_json is not None:
+        from repro.obs.analysis import analyze_chrome
 
-    Returns the :class:`~repro.obs.analysis.AnalysisReport`, or an ``int``
-    exit code after printing a CLI error to stderr.
-    """
+        analysis = analyze_chrome(_read_json(args.trace_json))
+        return partial(_report_analysis, args, analysis)
+    inputs = _resolve_serving(args)
+    return partial(_analyze_inline_run, args, inputs, _build_fleet(args, inputs))
+
+
+def _analyze_inline_run(args: argparse.Namespace, inputs: _ServingInputs, fleet) -> int:
+    """One traced batched serving run, resolved exactly as ``serve`` resolves it."""
     from repro.obs import Tracer
     from repro.obs.analysis import analyze_serving
     from repro.runtime.batch import BatchPlanEvaluator
-    from repro.runtime.faults import RetryPolicy, parse_churn_spec, resolve_churn
     from repro.serving import ServingSimulator
 
-    refs = args.tenants or ["coedge", "offload"]
-    try:
-        parsed = [_parse_tenant_ref(ref, args.model) for ref in refs]
-        traffics = _broadcast(args.traffic, len(parsed), None, "--traffic")
-        deadlines = _broadcast(args.deadline_ms, len(parsed), 1000.0, "--deadline-ms")
-        weights = _broadcast(args.weight, len(parsed), 1.0, "--weight")
-        if any(w <= 0 for w in weights):
-            raise ValueError(f"--weight values must be > 0, got {weights}")
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    ok, policy = _policy_from_args(args)
-    if not ok:
-        return 2
-    scenario = _scenario_from_args(args.scenario, args.bandwidth)
-    if scenario is None:
-        return 2
-    faults = retry = None
-    if args.churn is not None:
-        try:
-            faults = resolve_churn(parse_churn_spec(args.churn), scenario.num_devices)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        retry = RetryPolicy(seed=args.seed)
-    devices, network = scenario.build(seed=args.seed)
-    print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
-    tenants = _build_tenants(
-        args, parsed, devices, network,
-        traffics, deadlines, [None] * len(parsed), weights, [1] * len(parsed),
-    )
-    if tenants is None:
-        return 2
+    devices, network, faults = fleet
+    print(f"scenario: {inputs.scenario.name} ({inputs.scenario.num_devices} providers)")
     tracer = Tracer()
     report = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
-        tenants,
+        _plan_tenants(inputs, devices, network),
         duration_s=args.duration,
-        policy=policy,
+        policy=inputs.policy,
         faults=faults,
-        retry=retry,
+        retry=inputs.retry,
+        degradation=inputs.degradation,
         tracer=tracer,
     )
-    return analyze_serving(report, tracer)
+    return _report_analysis(args, analyze_serving(report, tracer))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _report_analysis(args: argparse.Namespace, analysis) -> int:
     from repro.experiments.reporting import (
         format_attribution_table,
         format_bottleneck_table,
         format_breakdown_chart,
     )
-    from repro.obs.analysis import AnalysisError, analyze_chrome
 
-    if args.trace_json is not None:
-        import json
-        from pathlib import Path
-
-        try:
-            data = json.loads(Path(args.trace_json).read_text())
-        except OSError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"{args.trace_json} is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        try:
-            analysis = analyze_chrome(data)
-        except (AnalysisError, ValueError) as exc:
-            print(
-                f"{args.trace_json} is not an analyzable serving trace: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        result = _analyze_inline_run(args)
-        if isinstance(result, int):
-            return result
-        analysis = result
     print(format_attribution_table(analysis, title="critical-path attribution"))
     print(format_bottleneck_table(analysis, title="fleet bottleneck ranking", top=args.top))
     if args.figure:
@@ -982,6 +800,92 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         return 1
     return 0
+
+
+def _add_planner_width_flags(parser: argparse.ArgumentParser) -> None:
+    """OSDS execution flags shared by ``plan`` and ``compare``."""
+    parser.add_argument("--episode-batch", type=int, default=8,
+                        help="OSDS episodes rolled out in lockstep per vectorised "
+                             "round (execution width only; results are bit-identical "
+                             "at any value, 1 = scalar loop). Rounds never cross a "
+                             "policy-refresh boundary, so widths beyond "
+                             "--policy-refresh need that knob raised too")
+    parser.add_argument("--policy-refresh", type=int, default=8,
+                        help="episodes between OSDS acting-policy snapshot refreshes "
+                             "(semantic: changing it changes which policy explores)")
+
+
+def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
+    """The run flags ``serve`` and ``analyze`` share, spelled identically so a
+    serve invocation becomes an analysis by swapping the subcommand."""
+    parser.add_argument("--scenario", default="DB",
+                        help="catalogue name or gen: spec (same resolution as "
+                             "plan/compare)")
+    parser.add_argument("--bandwidth", type=_positive_float, default=None,
+                        help="re-shape every link of a catalogue --scenario (Mbps)")
+    parser.add_argument("--tenant", action="append", dest="tenants",
+                        metavar="METHOD[@MODEL]",
+                        help="repeatable tenant spec, e.g. coedge@vgg16 "
+                             "(model defaults to --model); default: "
+                             "coedge + offload")
+    parser.add_argument("--model", default="vgg16", choices=model_zoo.list_models(),
+                        help="default model for --tenant entries without @MODEL")
+    parser.add_argument("--traffic", action="append", default=None,
+                        help="repeatable traffic: spec, one per tenant or one "
+                             "shared (e.g. traffic:poisson,rate=5 or "
+                             "traffic:mmpp,low=1,high=20); default: Poisson at "
+                             "--rate with per-tenant seeds")
+    parser.add_argument("--rate", type=_positive_float, default=2.0,
+                        help="default Poisson arrival rate (req/s) when no "
+                             "--traffic is given")
+    parser.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
+                        help="repeatable per-tenant SLO deadline (ms); default 1000")
+    parser.add_argument("--duration", type=_positive_float, default=30.0,
+                        help="open-loop arrival horizon (simulated seconds)")
+    parser.add_argument("--episodes", type=int, default=50,
+                        help="OSDS episodes for distredge tenants")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--contention", action="store_true",
+                        help="model shared-fleet lane contention: concurrent "
+                             "requests queue on per-device compute/send/recv "
+                             "lanes instead of each seeing an idle fleet "
+                             "(lane attribution needs it to show waiting)")
+    parser.add_argument("--discipline", choices=["fifo", "deadline", "wfq"],
+                        default=_CONTENTION_KNOBS["discipline"],
+                        help="cross-tenant dispatch order under --contention: "
+                             "release-time FIFO, least deadline slack first, "
+                             "or weighted fair queueing (see --weight)")
+    parser.add_argument("--max-inflight", type=int, default=_CONTENTION_KNOBS["max_inflight"],
+                        help="cluster-wide cap on concurrently in-flight "
+                             "requests under --contention (admission gate; its "
+                             "wait is the 'gate' segment); default unlimited")
+    parser.add_argument("--weight", action="append", type=float,
+                        default=_CONTENTION_KNOBS["weight"],
+                        help="repeatable per-tenant WFQ fair-share weight "
+                             "(with --contention --discipline wfq); default 1")
+    parser.add_argument("--admission", choices=["none", "predictive"],
+                        default=_CONTENTION_KNOBS["admission"],
+                        help="admission control under --contention: "
+                             "'predictive' asks the contention evaluator for "
+                             "each request's completion at release time and "
+                             "intercepts predicted SLO misses before they "
+                             "occupy the fleet")
+    parser.add_argument("--on-predicted-miss", choices=["reject", "requeue"],
+                        default="reject",
+                        help="what --admission predictive does with an "
+                             "intercepted request: deny it (counted per "
+                             "tenant) or defer it to the fleet's next "
+                             "lane-free event and re-predict")
+    parser.add_argument("--window-ms", type=float, default=_CONTENTION_KNOBS["window_ms"],
+                        help="attach a windowed fleet-load time series "
+                             "(busy/wait/inflight per device per window of "
+                             "this width) to the contended run's report")
+    parser.add_argument("--churn", default=None, metavar="SPEC",
+                        help="inject seeded fleet churn from a churn: spec, "
+                             "e.g. churn:events=crash:0@500;join:0@2000 or "
+                             "churn:crashes=2,seed=7; crashes kill in-flight "
+                             "requests, which retry on a strategy replanned "
+                             "around the surviving devices")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1004,15 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--method", default="distredge",
                         choices=["distredge", *sorted(BASELINE_REGISTRY)])
     p_plan.add_argument("--episodes", type=int, default=200)
-    p_plan.add_argument("--episode-batch", type=int, default=8,
-                        help="OSDS episodes rolled out in lockstep per vectorised "
-                             "round (execution width only; results are bit-identical "
-                             "at any value, 1 = scalar loop). Rounds never cross a "
-                             "policy-refresh boundary, so widths beyond "
-                             "--policy-refresh need that knob raised too")
-    p_plan.add_argument("--policy-refresh", type=int, default=8,
-                        help="episodes between OSDS acting-policy snapshot refreshes "
-                             "(semantic: changing it changes which policy explores)")
+    _add_planner_width_flags(p_plan)
     p_plan.add_argument("--alpha", type=float, default=0.75)
     p_plan.add_argument("--random-splits", type=int, default=30)
     p_plan.add_argument("--seed", type=int, default=0)
@@ -1020,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--profile", action="store_true",
                         help="print a wall-clock profile of the planning search "
                              "and final evaluation (host time only)")
-    p_plan.set_defaults(func=_cmd_plan)
+    p_plan.set_defaults(resolve=_resolve_plan)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved plan")
     p_eval.add_argument("plan", help="path to a plan JSON file")
@@ -1034,107 +930,46 @@ def build_parser() -> argparse.ArgumentParser:
                              "resolve it; device types must match the plan")
     p_eval.add_argument("--seed", type=int, default=0,
                         help="scenario build seed (trace construction)")
-    p_eval.set_defaults(func=_cmd_evaluate)
+    p_eval.set_defaults(resolve=_resolve_evaluate)
 
     p_serve = sub.add_parser(
         "serve", help="simulate multi-tenant open-loop serving on one fleet"
     )
-    p_serve.add_argument("--scenario", default="DB",
-                         help="catalogue name or gen: spec (same resolution as "
-                              "plan/compare)")
-    p_serve.add_argument("--bandwidth", type=_positive_float, default=None,
-                         help="re-shape every link of a catalogue --scenario (Mbps)")
-    p_serve.add_argument("--tenant", action="append", dest="tenants",
-                         metavar="METHOD[@MODEL]",
-                         help="repeatable tenant spec, e.g. coedge@vgg16 "
-                              "(model defaults to --model); default: "
-                              "coedge + offload")
-    p_serve.add_argument("--model", default="vgg16", choices=model_zoo.list_models(),
-                         help="default model for --tenant entries without @MODEL")
-    p_serve.add_argument("--traffic", action="append", default=None,
-                         help="repeatable traffic: spec, one per tenant or one "
-                              "shared (e.g. traffic:poisson,rate=5 or "
-                              "traffic:mmpp,low=1,high=20); default: Poisson at "
-                              "--rate with per-tenant seeds")
-    p_serve.add_argument("--rate", type=_positive_float, default=2.0,
-                         help="default Poisson arrival rate (req/s) when no "
-                              "--traffic is given")
-    p_serve.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
-                         help="repeatable per-tenant SLO deadline (ms); default 1000")
+    _add_serving_flags(p_serve)
     p_serve.add_argument("--queue-capacity", action="append", type=_positive_int, default=None,
                          help="repeatable per-tenant admission bound (waiting "
                               "requests); default unbounded")
-    p_serve.add_argument("--duration", type=_positive_float, default=30.0,
-                         help="open-loop arrival horizon (simulated seconds)")
     p_serve.add_argument("--mode", choices=["batched", "reference", "parity"],
                          default="batched",
                          help="event loop: batched array engine (default), "
                               "naive per-request reference, or parity (run "
                               "both and assert bit-identical)")
-    p_serve.add_argument("--episodes", type=int, default=50,
-                         help="OSDS episodes for distredge tenants")
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--contention", action="store_true",
-                         help="model shared-fleet lane contention: concurrent "
-                              "requests queue on per-device compute/send/recv "
-                              "lanes instead of each seeing an idle fleet")
-    p_serve.add_argument("--discipline", choices=["fifo", "deadline", "wfq"],
-                         default="fifo",
-                         help="cross-tenant dispatch order under --contention: "
-                              "release-time FIFO, least deadline slack first, "
-                              "or weighted fair queueing (see --weight)")
-    p_serve.add_argument("--max-inflight", type=int, default=None,
-                         help="cluster-wide cap on concurrently in-flight "
-                              "requests under --contention (admission gate); "
-                              "default unlimited")
-    p_serve.add_argument("--weight", action="append", type=float, default=None,
-                         help="repeatable per-tenant WFQ fair-share weight "
-                              "(with --contention --discipline wfq); default 1")
     p_serve.add_argument("--slots", action="append", type=_positive_int, default=None,
                          help="repeatable per-tenant service-slot count "
                               "(within-tenant concurrency); default 1, the "
                               "paper's one-image-in-flight protocol")
-    p_serve.add_argument("--admission", choices=["none", "predictive"],
-                         default="none",
-                         help="admission control under --contention: "
-                              "'predictive' asks the contention evaluator for "
-                              "each request's completion at release time and "
-                              "intercepts predicted SLO misses before they "
-                              "occupy the fleet")
-    p_serve.add_argument("--on-predicted-miss", choices=["reject", "requeue"],
-                         default="reject",
-                         help="what --admission predictive does with an "
-                              "intercepted request: deny it (counted per "
-                              "tenant) or defer it to the fleet's next "
-                              "lane-free event and re-predict")
-    p_serve.add_argument("--churn", default=None, metavar="SPEC",
-                         help="inject seeded fleet churn from a churn: spec, "
-                              "e.g. churn:events=crash:0@500;join:0@2000 or "
-                              "churn:crashes=2,seed=7; crashes kill in-flight "
-                              "requests, which retry on a strategy replanned "
-                              "around the surviving devices")
-    p_serve.add_argument("--retry-max", type=int, default=3,
+    p_serve.add_argument("--retry-max", type=int, default=_CHURN_KNOBS["retry_max"],
                          help="retry attempts per request under --churn before "
                               "it is abandoned (default 3)")
-    p_serve.add_argument("--retry-backoff-ms", type=float, default=50.0,
+    p_serve.add_argument("--retry-backoff-ms", type=float,
+                         default=_CHURN_KNOBS["retry_backoff_ms"],
                          help="base exponential-backoff delay between retry "
                               "attempts under --churn (default 50)")
-    p_serve.add_argument("--retry-jitter-ms", type=float, default=10.0,
+    p_serve.add_argument("--retry-jitter-ms", type=float,
+                         default=_CHURN_KNOBS["retry_jitter_ms"],
                          help="seeded uniform jitter added to each backoff "
                               "delay under --churn (default 10)")
-    p_serve.add_argument("--retry-timeout-ms", type=float, default=None,
+    p_serve.add_argument("--retry-timeout-ms", type=float,
+                         default=_CHURN_KNOBS["retry_timeout_ms"],
                          help="per-request wall-clock budget across all retry "
                               "attempts under --churn; default unbounded")
-    p_serve.add_argument("--degrade-min-live", type=float, default=None,
+    p_serve.add_argument("--degrade-min-live", type=float,
+                         default=_CHURN_KNOBS["degrade_min_live"],
                          help="graceful degradation under --churn: while the "
                               "live fleet fraction is below this threshold, "
                               "shed arrivals of the lowest-weight tenants "
                               "(deterministically) instead of queueing them; "
                               "default: no shedding")
-    p_serve.add_argument("--window-ms", type=float, default=None,
-                         help="attach a windowed fleet-load time series "
-                              "(busy/wait/inflight per device per window of "
-                              "this width) to the contended run's report")
     p_serve.add_argument("--plan-capacity", action="store_true",
                          help="binary-search the minimum fleet size (within "
                               "--fleet-range) whose run meets "
@@ -1218,17 +1053,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the alert timeline as JSON to PATH "
                               "(implies alert evaluation), stamped with the "
                               "same provenance block as --report-json")
-    p_serve.add_argument("--alert-fast-s", type=float, default=5.0,
+    p_serve.add_argument("--alert-fast-s", type=float, default=_ALERT_KNOBS["alert_fast_s"],
                          help="fast burn window for --alerts in simulated "
                               "seconds (default 5)")
-    p_serve.add_argument("--alert-slow-s", type=float, default=30.0,
+    p_serve.add_argument("--alert-slow-s", type=float, default=_ALERT_KNOBS["alert_slow_s"],
                          help="slow burn window for --alerts in simulated "
                               "seconds (default 30)")
-    p_serve.add_argument("--alert-burn", type=float, default=1.0,
+    p_serve.add_argument("--alert-burn", type=float, default=_ALERT_KNOBS["alert_burn"],
                          help="burn-rate threshold both windows must reach to "
                               "fire, as a multiple of the SLO miss budget "
                               "(default 1)")
-    p_serve.add_argument("--alert-target", type=float, default=0.05,
+    p_serve.add_argument("--alert-target", type=float, default=_ALERT_KNOBS["alert_target"],
                          help="fallback SLO miss-rate budget for tenants "
                               "whose SLO does not set target_miss_rate "
                               "(default 0.05)")
@@ -1243,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "one serving run (ignores --traffic/--queue-capacity)")
     p_serve.add_argument("--figure-rates", default="0.5,1,2,4,8",
                          help="comma-separated per-tenant req/s rates for --figure")
-    p_serve.set_defaults(func=_cmd_serve)
+    p_serve.set_defaults(resolve=_resolve_serve)
 
     p_an = sub.add_parser(
         "analyze",
@@ -1252,8 +1087,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--trace-json", default=None, metavar="PATH",
                       help="analyze an exported serve --trace-json file "
                            "(Chrome trace-event JSON) instead of running "
-                           "inline; the event stream round-trips bit-exactly, "
-                           "so the attribution matches the original run")
+                           "inline (the run flags are then ignored); the event "
+                           "stream round-trips bit-exactly, so the attribution "
+                           "matches the original run")
     p_an.add_argument("--report-json", default=None, metavar="PATH",
                       help="write the analysis report as JSON to PATH, "
                            "stamped with a provenance block (repro version, "
@@ -1261,62 +1097,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--figure", action="store_true",
                       help="print a stacked per-tenant latency-breakdown "
                            "chart (queue/gate/compute/send/recv/stall)")
-    p_an.add_argument("--top", type=int, default=None, metavar="N",
+    p_an.add_argument("--top", type=_positive_int, default=None, metavar="N",
                       help="show only the N hottest lanes in the bottleneck "
                            "ranking (default: all)")
-    # Inline-run flags spell exactly like `repro serve`, so a serve
-    # invocation becomes an analysis by swapping the subcommand.
-    p_an.add_argument("--scenario", default="DB",
-                      help="catalogue name or gen: spec for an inline run "
-                           "(same resolution as serve); ignored with "
-                           "--trace-json")
-    p_an.add_argument("--bandwidth", type=_positive_float, default=None,
-                      help="re-shape every link of a catalogue --scenario (Mbps)")
-    p_an.add_argument("--tenant", action="append", dest="tenants",
-                      metavar="METHOD[@MODEL]",
-                      help="repeatable tenant spec as in serve; default: "
-                           "coedge + offload")
-    p_an.add_argument("--model", default="vgg16", choices=model_zoo.list_models(),
-                      help="default model for --tenant entries without @MODEL")
-    p_an.add_argument("--traffic", action="append", default=None,
-                      help="repeatable traffic: spec as in serve; default: "
-                           "Poisson at --rate with per-tenant seeds")
-    p_an.add_argument("--rate", type=_positive_float, default=2.0,
-                      help="default Poisson arrival rate (req/s)")
-    p_an.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
-                      help="repeatable per-tenant SLO deadline (ms); default 1000")
-    p_an.add_argument("--duration", type=_positive_float, default=30.0,
-                      help="open-loop arrival horizon (simulated seconds)")
-    p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument("--episodes", type=int, default=50,
-                      help="OSDS episodes for distredge tenants")
-    p_an.add_argument("--contention", action="store_true",
-                      help="model shared-fleet lane contention, as in serve "
-                           "(lane attribution needs it to show waiting)")
-    p_an.add_argument("--discipline", choices=["fifo", "deadline", "wfq"],
-                      default="fifo",
-                      help="cross-tenant dispatch order under --contention")
-    p_an.add_argument("--max-inflight", type=int, default=None,
-                      help="cluster-wide in-flight cap under --contention "
-                           "(gate wait shows up as the 'gate' segment)")
-    p_an.add_argument("--weight", action="append", type=float, default=None,
-                      help="repeatable per-tenant WFQ weight (with "
-                           "--contention --discipline wfq); default 1")
-    p_an.add_argument("--admission", choices=["none", "predictive"],
-                      default="none",
-                      help="admission control under --contention, as in serve")
-    p_an.add_argument("--on-predicted-miss", choices=["reject", "requeue"],
-                      default="reject",
-                      help="predictive-admission action, as in serve")
-    p_an.add_argument("--window-ms", type=float, default=None,
-                      help="attach a windowed fleet-load series to the inline "
-                           "run's report, as in serve")
-    p_an.add_argument("--churn", default=None, metavar="SPEC",
-                      help="inject seeded fleet churn (churn: spec, as in "
-                           "serve) into the inline run; retries use the "
-                           "default policy, and their backoff shows up in "
-                           "the per-tenant backoff_ms column")
-    p_an.set_defaults(func=_cmd_analyze)
+    _add_serving_flags(p_an)
+    # The inline run takes serve's defaults for the serve-only knobs
+    # (unbounded queues, one slot, the default retry policy, no shedding).
+    p_an.set_defaults(resolve=_resolve_analyze, queue_capacity=None, slots=None, **_CHURN_KNOBS)
 
     p_cmp = sub.add_parser("compare", help="compare all methods on a paper scenario")
     p_cmp.add_argument("--scenario", default="DB",
@@ -1328,27 +1115,34 @@ def build_parser() -> argparse.ArgumentParser:
                             "rate in Mbps; not applicable to gen: scenarios")
     p_cmp.add_argument("--model", default="vgg16", choices=model_zoo.list_models())
     p_cmp.add_argument("--episodes", type=int, default=150)
-    p_cmp.add_argument("--episode-batch", type=int, default=8,
-                       help="OSDS episodes rolled out in lockstep per vectorised round "
-                            "(capped at --policy-refresh)")
-    p_cmp.add_argument("--policy-refresh", type=int, default=8,
-                       help="episodes between OSDS acting-policy snapshot refreshes")
+    _add_planner_width_flags(p_cmp)
     p_cmp.add_argument("--random-splits", type=int, default=20)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--profile", action="store_true",
                        help="print a wall-clock profile of the comparison run "
                             "(host time only)")
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp.set_defaults(resolve=_resolve_compare)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # Kept on the namespace so --report-json can stamp the exact invocation
     # into its provenance block (see _provenance).
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    return args.func(args)
+    # The one input boundary.  Only resolution runs inside it: a bad flag or
+    # file exits 2 with one line on stderr, while an error raised once the
+    # run has started is a bug and keeps its traceback.
+    try:
+        run = args.resolve(args)
+    except KeyError as exc:
+        # str(KeyError) is the repr of its message; unwrap it.
+        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    return run()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,6 +36,7 @@ from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.oracles import GroundTruthComputeOracle, ProfileComputeOracle
 from repro.runtime.plan import DistributionPlan
 from repro.utils.rng import SeedLike
+from repro.utils.validation import check_fraction
 
 
 @dataclass
@@ -52,6 +53,12 @@ class DistrEdgeConfig:
     #: decisions ever visited, so seeding only adds candidate episodes; it
     #: substantially reduces the episode budget needed on small machines.
     seed_with_heuristics: bool = True
+
+    def __post_init__(self) -> None:
+        # LC-PSS checks these too, but only once planning has started.
+        check_fraction(self.alpha, "alpha")
+        if self.num_random_splits < 1:
+            raise ValueError(f"num_random_splits must be >= 1, got {self.num_random_splits}")
 
 
 @dataclass

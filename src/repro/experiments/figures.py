@@ -27,7 +27,6 @@ from repro.runtime.streaming import StreamingSimulator
 from repro.serving.traffic import PoissonArrivals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.faults import DegradationPolicy, RetryPolicy
     from repro.serving.dispatch import ClusterPolicy
 
 #: The seven extra models of Figs. 10-11 (VGG-16 is covered by Figs. 5-9).
@@ -448,89 +447,6 @@ def serving_load_curve(
     return out
 
 
-def degradation_curve(
-    harness: ExperimentHarness,
-    scenario: Scenario,
-    crash_counts: Sequence[int] = (0, 1, 2, 4),
-    methods: Sequence[str] = ("coedge", "offload"),
-    model_name: str = "vgg16",
-    rate_rps: float = 2.0,
-    duration_s: float = 20.0,
-    deadline_ms: Union[float, Sequence[float]] = 200.0,
-    retry: Optional["RetryPolicy"] = None,
-    degradation: Optional["DegradationPolicy"] = None,
-    policy: Optional["ClusterPolicy"] = None,
-    seed: int = 0,
-    weight: Union[float, Sequence[float]] = 1.0,
-) -> Dict[str, dict]:
-    """Goodput and miss rate versus the number of seeded device crashes.
-
-    One serving run per crash count on the same fleet and the same offered
-    load: each point injects a seeded :class:`~repro.runtime.faults.ChurnSpec`
-    with that many crashes (same churn seed throughout, so adding crashes
-    extends the event set deterministically rather than reshuffling it) and
-    records completed/abandoned/shed counts, retry overhead and the pooled
-    deadline-miss rate — the data behind a graceful-degradation curve.  The
-    zero-crash point runs with no churn trace at all, so it doubles as the
-    byte-identical baseline.  ``retry``/``degradation`` default to
-    :class:`~repro.runtime.faults.RetryPolicy()` and no load shedding.
-    """
-    from repro.runtime.faults import ChurnSpec, RetryPolicy
-
-    out: Dict[str, dict] = {}
-    for crashes in crash_counts:
-        if crashes < 0:
-            raise ValueError(f"crash counts must be >= 0, got {crashes}")
-        faults = None
-        if crashes > 0:
-            faults = ChurnSpec(
-                crashes=int(crashes),
-                seed=seed,
-                start_ms=0.1 * duration_s * 1000.0,
-                window_ms=0.8 * duration_s * 1000.0,
-            )
-        traffic = [
-            PoissonArrivals(rate_rps=float(rate_rps), seed=seed + i)
-            for i in range(len(methods))
-        ]
-        report = harness.serve_scenario(
-            scenario,
-            methods=methods,
-            model_name=model_name,
-            traffic=traffic,
-            deadline_ms=deadline_ms,
-            duration_s=duration_s,
-            policy=policy,
-            weight=weight,
-            faults=faults,
-            retry=(retry or RetryPolicy()) if faults is not None else None,
-            degradation=degradation if faults is not None else None,
-        )
-        row = {
-            "crashes": int(crashes),
-            "completed": report.total_completed,
-            "throughput_rps": report.throughput_rps,
-            "deadline_miss_rate": report.deadline_miss_rate,
-            "p95_response_ms": report.response_percentile_ms(95),
-        }
-        if report.faults is not None:
-            row["live_at_end"] = report.faults.live_at_end
-            row["abandoned"] = report.faults.abandoned_requests
-            row["retried"] = report.faults.retried_requests
-            row["shed"] = report.faults.total_shed
-            row["retry_latency_added_ms"] = report.faults.retry_latency_added_ms
-            row["degraded_ms"] = report.faults.degraded_ms
-        else:
-            row["live_at_end"] = len(scenario.device_specs)
-            row["abandoned"] = 0
-            row["retried"] = 0
-            row["shed"] = 0
-            row["retry_latency_added_ms"] = 0.0
-            row["degraded_ms"] = 0.0
-        out[f"{crashes}crash"] = row
-    return out
-
-
 def load_curve_knee(
     curve: Dict[str, dict], target_miss_rate: float = 0.0
 ) -> Optional[float]:
@@ -554,33 +470,6 @@ def load_curve_knee(
     return best
 
 
-def latency_breakdown_figure(analysis) -> Dict[str, dict]:
-    """Stacked latency-breakdown series from a critical-path analysis.
-
-    One series per tenant: milliseconds by breakdown bucket (admission
-    queueing, gate wait, per-role lane service, stalls, uncontended
-    service) plus the totals — the data behind the stacked bars that
-    ``repro analyze --figure`` renders, in the same ``{name: {k: v}}``
-    shape every other figure uses (plot or tabulate as needed).
-    """
-    series: Dict[str, dict] = {}
-    for tenant in analysis.tenants:
-        series[tenant.name] = {
-            "requests": tenant.requests,
-            "queue_ms": float(tenant.queue_ms),
-            "gate_ms": float(tenant.by_label["gate"]),
-            "compute_ms": float(tenant.by_label["compute"]),
-            "send_ms": float(tenant.by_label["send"]),
-            "recv_ms": float(tenant.by_label["recv"]),
-            "stall_ms": float(tenant.by_label["stall"]),
-            "service_ms": float(tenant.by_label["service"]),
-            "latency_ms": float(tenant.latency_ms),
-            "response_ms": float(tenant.response_ms),
-            "dominant": tenant.dominant,
-        }
-    return series
-
-
 __all__ = [
     "EXTRA_MODELS",
     "figure4",
@@ -595,8 +484,6 @@ __all__ = [
     "figure13",
     "figure14",
     "figure15",
-    "degradation_curve",
-    "latency_breakdown_figure",
     "load_curve_knee",
     "serving_load_curve",
 ]

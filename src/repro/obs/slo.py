@@ -60,9 +60,11 @@ class BurnRateRule:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("rule name must be non-empty")
-        if self.fast_window_s <= 0 or self.slow_window_s <= 0:
+        if not all(
+            math.isfinite(w) and w > 0 for w in (self.fast_window_s, self.slow_window_s)
+        ):
             raise ValueError(
-                f"windows must be > 0, got fast={self.fast_window_s} "
+                f"windows must be > 0 and finite, got fast={self.fast_window_s} "
                 f"slow={self.slow_window_s}"
             )
         if self.fast_window_s > self.slow_window_s:
@@ -70,8 +72,8 @@ class BurnRateRule:
                 f"fast window ({self.fast_window_s}s) must not exceed the "
                 f"slow window ({self.slow_window_s}s)"
             )
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be > 0 and finite, got {self.threshold}")
         if self.severity not in ("page", "ticket"):
             raise ValueError(
                 f"severity must be 'page' or 'ticket', got {self.severity!r}"

@@ -384,7 +384,7 @@ def events_from_chrome(data: Dict) -> List[TraceEvent]:
     sorted.  A top-level ``provenance`` block, if present, is ignored.
     """
     threads: Dict[Tuple[int, int], str] = {}
-    records = data.get("traceEvents")
+    records = data.get("traceEvents") if isinstance(data, dict) else None
     if not isinstance(records, list):
         raise ValueError("not a Chrome trace: missing 'traceEvents' list")
     for record in records:

@@ -460,13 +460,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_ms < 0:
-            raise ValueError(f"backoff_ms must be >= 0, got {self.backoff_ms}")
-        if self.multiplier < 1:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.jitter_ms < 0:
-            raise ValueError(f"jitter_ms must be >= 0, got {self.jitter_ms}")
-        if self.timeout_ms is not None and self.timeout_ms < self.backoff_ms:
+        if not (math.isfinite(self.backoff_ms) and self.backoff_ms >= 0):
+            raise ValueError(f"backoff_ms must be >= 0 and finite, got {self.backoff_ms}")
+        if not (math.isfinite(self.multiplier) and self.multiplier >= 1):
+            raise ValueError(f"multiplier must be >= 1 and finite, got {self.multiplier}")
+        if not (math.isfinite(self.jitter_ms) and self.jitter_ms >= 0):
+            raise ValueError(f"jitter_ms must be >= 0 and finite, got {self.jitter_ms}")
+        if self.timeout_ms is not None and not self.timeout_ms >= self.backoff_ms:
             raise ValueError(
                 f"timeout_ms must be >= backoff_ms ({self.backoff_ms}), got {self.timeout_ms}"
             )

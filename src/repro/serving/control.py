@@ -317,8 +317,8 @@ class AutoscalerConfig:
                 f"max_devices must be >= min_devices, got "
                 f"{self.max_devices} < {self.min_devices}"
             )
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {self.window_s}")
+        if not (math.isfinite(self.window_s) and self.window_s > 0):
+            raise ValueError(f"window_s must be > 0 and finite, got {self.window_s}")
         if not 0.0 <= self.low_utilization <= self.high_utilization <= 1.0:
             raise ValueError(
                 "need 0 <= low_utilization <= high_utilization <= 1, got "
@@ -330,18 +330,20 @@ class AutoscalerConfig:
             raise ValueError(
                 f"target_miss_rate must be in [0, 1], got {self.target_miss_rate}"
             )
-        if self.capacity_per_device_rps is not None and self.capacity_per_device_rps <= 0:
+        if self.capacity_per_device_rps is not None and not (
+            math.isfinite(self.capacity_per_device_rps) and self.capacity_per_device_rps > 0
+        ):
             raise ValueError(
-                f"capacity_per_device_rps must be > 0 (or None), got "
+                f"capacity_per_device_rps must be > 0 and finite (or None), got "
                 f"{self.capacity_per_device_rps}"
             )
         if self.trigger not in ("utilization", "burn_rate"):
             raise ValueError(
                 f"trigger must be 'utilization' or 'burn_rate', got {self.trigger!r}"
             )
-        if self.burn_threshold <= 0:
+        if not (math.isfinite(self.burn_threshold) and self.burn_threshold > 0):
             raise ValueError(
-                f"burn_threshold must be > 0, got {self.burn_threshold}"
+                f"burn_threshold must be > 0 and finite, got {self.burn_threshold}"
             )
         if self.burn_windows < 1:
             raise ValueError(f"burn_windows must be >= 1, got {self.burn_windows}")

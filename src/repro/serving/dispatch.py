@@ -43,6 +43,7 @@ admission mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -120,8 +121,12 @@ class ClusterPolicy:
                 f"on_predicted_miss must be one of {PREDICTED_MISS_ACTIONS}, "
                 f"got {self.on_predicted_miss!r}"
             )
-        if self.window_ms is not None and self.window_ms <= 0:
-            raise ValueError(f"window_ms must be > 0 (or None), got {self.window_ms}")
+        if self.window_ms is not None and not (
+            math.isfinite(self.window_ms) and self.window_ms > 0
+        ):
+            raise ValueError(
+                f"window_ms must be > 0 and finite (or None), got {self.window_ms}"
+            )
 
 
 class FleetDispatcher:

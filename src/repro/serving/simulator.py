@@ -899,7 +899,6 @@ def run_with_parity(
     faults: Union[str, ChurnSpec, FaultTrace, None] = None,
     retry: Optional[RetryPolicy] = None,
     degradation: Optional[DegradationPolicy] = None,
-    compare_traces: bool = True,
     compare_analysis: bool = False,
     tracer: Optional[Tracer] = None,
 ) -> ServingReport:
@@ -918,11 +917,11 @@ def run_with_parity(
     retries, abandonments, shed arrivals and ``FaultReport``.  Returns the
     batched report.
 
-    ``compare_traces`` extends the contract to observability: both runs
-    collect a full deterministic trace and the two streams are asserted
-    byte-identical (:func:`assert_traces_equal`).  Pass ``tracer`` to keep
-    the batched side's trace (e.g. for ``--trace-json`` in parity mode); it
-    must be empty.  Set ``compare_traces=False`` to skip trace collection.
+    The contract extends to observability: both runs collect a full
+    deterministic trace and the two streams are asserted byte-identical
+    (:func:`assert_traces_equal`).  Pass ``tracer`` to keep the batched
+    side's trace (e.g. for ``--trace-json`` in parity mode); it must be
+    empty.
 
     ``compare_analysis`` extends it once more, to the *interpretation*
     layer: both traces are run through the critical-path analyzer
@@ -930,23 +929,18 @@ def run_with_parity(
     monitor (:class:`repro.obs.slo.SLOMonitor`), every request's latency
     tiling is asserted bit-exact against its committed latency, and the
     attribution output and alert timelines are asserted byte-identical
-    across the two runs.  Requires ``compare_traces``.
+    across the two runs.
     """
-    if compare_analysis and not compare_traces:
-        raise ValueError("compare_analysis needs compare_traces=True")
     for spec in tenants:
         if spec.adaptation_hook is not None:
             raise ValueError(
                 f"tenant {spec.name!r}: parity runs execute the workload twice; "
                 "supply the hook as hook_factory so each run gets a fresh controller"
             )
-    reference_tracer: Optional[Tracer] = None
-    batched_tracer: Optional[Tracer] = tracer
-    if compare_traces:
-        reference_tracer = Tracer()
-        batched_tracer = Tracer() if tracer is None else tracer
-        if batched_tracer.events:
-            raise ValueError("run_with_parity needs an empty tracer")
+    reference_tracer = Tracer()
+    batched_tracer = Tracer() if tracer is None else tracer
+    if batched_tracer.events:
+        raise ValueError("run_with_parity needs an empty tracer")
     reference = ServingSimulator(reference_evaluator).run(
         tenants,
         duration_s=duration_s,
@@ -970,8 +964,7 @@ def run_with_parity(
         tracer=batched_tracer,
     )
     assert_reports_equal(batched, reference)
-    if compare_traces:
-        assert_traces_equal(batched_tracer, reference_tracer)
+    assert_traces_equal(batched_tracer, reference_tracer)
     if compare_analysis:
         # Late imports keep repro.obs optional on the plain serving path.
         from repro.obs.analysis import analyze_serving

@@ -171,6 +171,12 @@ class TestImportValidation:
         with pytest.raises(ValueError, match="traceEvents"):
             events_from_chrome({"displayTimeUnit": "ms"})
 
+    @pytest.mark.parametrize("data", [[], 3, "trace"])
+    def test_non_object_document_rejected(self, data):
+        """A JSON document that is not an object is bad input, not a crash."""
+        with pytest.raises(ValueError, match="traceEvents"):
+            events_from_chrome(data)
+
     def test_unnamed_thread_rejected(self):
         data = {
             "traceEvents": [

@@ -153,15 +153,3 @@ class TestAnalysisParity:
         )
         monitor = SLOMonitor()
         assert monitor.evaluate(report).lines() == monitor.evaluate(report).lines()
-
-    def test_compare_analysis_requires_traces(self, model, fleet):
-        devices, network = fleet
-        with pytest.raises(ValueError, match="compare_traces"):
-            run_with_parity(
-                BatchPlanEvaluator(devices, network),
-                PlanEvaluator(devices, network),
-                tenants_for(model, devices),
-                duration_s=1.0,
-                compare_traces=False,
-                compare_analysis=True,
-            )

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.baselines import BASELINE_REGISTRY
 from repro.cli import build_parser, main
 
 
@@ -568,3 +569,110 @@ class TestServeObservability:
         out = capsys.readouterr().out
         assert "plan.lcpss" in out and "plan.osds" in out and "plan.evaluate" in out
         assert "plan.search" not in out
+
+
+class TestAnalyze:
+    CHURN = "churn:crashes=1,seed=2,start_ms=500,window_ms=2000"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--duration", "3", "--contention", "--churn", CHURN],
+            ["--duration", "3", "--churn", CHURN, "--seed", "1"],
+        ],
+        ids=["contended", "uncontended"],
+    )
+    def test_inline_run_matches_the_served_trace(self, flags, tmp_path, capsys):
+        """`analyze` run inline resolves its run exactly as `serve` does: the
+        same flags give the same analysis as analysing serve's exported trace."""
+        inline, trace, exported = (tmp_path / n for n in ("a.json", "t.json", "b.json"))
+        assert main(["analyze", *flags, "--report-json", str(inline)]) == 0
+        assert main(["serve", *flags, "--trace-json", str(trace)]) == 0
+        assert main([
+            "analyze", "--trace-json", str(trace), "--report-json", str(exported),
+        ]) == 0
+        capsys.readouterr()
+        a, b = (json.loads(path.read_text()) for path in (inline, exported))
+        a.pop("provenance")
+        b.pop("provenance")
+        assert a["requests"] > 0
+        assert a == b
+
+
+AUTOSCALE = ["serve", "--contention", "--autoscale", "--scenario", "gen:n=2,seed=1"]
+
+
+class TestInputBoundary:
+    """Every bad input exits 2 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--scenario", "DB", "--episodes", "0"],
+            ["plan", "--scenario", "DB", "--episode-batch", "0"],
+            ["plan", "--scenario", "DB", "--policy-refresh", "0"],
+            ["plan", "--scenario", "DB", "--alpha", "2"],
+            ["plan", "--scenario", "DB", "--alpha", "nan"],
+            ["plan", "--scenario", "DB", "--random-splits", "0"],
+            ["plan", "--devices", "nano:abc"],
+            ["plan", "--devices", "foo:100"],
+            ["compare", "--scenario", "DB", "--episodes", "0"],
+            ["compare", "--scenario", "DB", "--random-splits", "0"],
+            ["compare", "--scenario", "DB", "--episode-batch", "0"],
+            ["evaluate", "{tmp}/missing.json"],
+            ["evaluate", "{tmp}/not-json.json"],
+            ["serve", "--contention", "--window-ms", "nan"],
+            ["analyze", "--contention", "--window-ms", "nan"],
+            [*AUTOSCALE, "--windows", "0"],
+            [*AUTOSCALE, "--window-s", "nan"],
+            ["serve", "--churn", "churn:crashes=1", "--retry-backoff-ms", "nan"],
+            ["serve", "--alerts", "--alert-fast-s", "nan"],
+            ["analyze", "--top", "0"],
+            ["analyze", "--top", "-1"],
+        ],
+        ids=[
+            "plan-episodes", "plan-episode-batch", "plan-policy-refresh",
+            "plan-alpha", "plan-alpha-nan", "plan-random-splits",
+            "plan-device-bandwidth", "plan-device-type",
+            "compare-episodes", "compare-random-splits", "compare-episode-batch",
+            "evaluate-missing-file", "evaluate-not-json",
+            "serve-window-ms-nan", "analyze-window-ms-nan",
+            "autoscale-windows", "autoscale-window-s-nan",
+            "serve-retry-backoff-nan", "serve-alert-window-nan",
+            "analyze-top-0", "analyze-top-negative",
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        (tmp_path / "not-json.json").write_text('{"a":\n')
+        try:
+            code = main([arg.format(tmp=tmp_path) for arg in argv])
+        except SystemExit as exc:  # rejected by argparse itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        # argparse prints its usage block (the first line and indented
+        # continuations) above the one-line message.
+        lines = [
+            line for line in err.splitlines()
+            if line and not line.startswith(("usage:", " "))
+        ]
+        assert len(lines) == 1, err
+
+    def test_run_errors_are_not_input_errors(self, monkeypatch):
+        """Only resolution is inside the boundary: a ValueError raised by the
+        planner or the simulator once the run has started propagates."""
+        from repro.serving import ServingSimulator
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(BASELINE_REGISTRY["coedge"], "plan", boom)
+        with pytest.raises(ValueError, match="boom"):
+            main(["plan", "--devices", "nano", "--model", "tiny_cnn", "--method", "coedge"])
+        monkeypatch.undo()
+        monkeypatch.setattr(ServingSimulator, "run", boom)
+        serving = ["--tenant", "offload", "--model", "tiny_cnn", "--duration", "1"]
+        for command in ("serve", "analyze"):
+            with pytest.raises(ValueError, match="boom"):
+                main([command, *serving])
