@@ -10,16 +10,17 @@ network model so harness code never hand-assembles clusters.
 Beyond the paper's catalogue, :func:`generate_scenario` produces seeded
 random fleets (16-64+ heterogeneous devices) for scaling experiments, and
 :func:`resolve_scenario` turns either a catalogue name or a ``gen:`` spec
-string (the CLI grammar, e.g. ``gen:n=32,seed=7,bw=50-300,types=mixed``)
-into a :class:`Scenario`.  Named scenarios flow through a
-:class:`ScenarioRegistry`, which refuses to let two different scenarios
-silently share one name — repeated :meth:`Scenario.with_bandwidth` /
+string (the CLI grammar, e.g. ``gen:n=32,seed=7,bw=50-300,types=mixed``,
+in the spec format of :mod:`repro.utils.specs`) into a :class:`Scenario`.
+Named scenarios flow through a :class:`ScenarioRegistry`, which refuses to
+let two different scenarios silently share one name — repeated :meth:`Scenario.with_bandwidth` /
 :meth:`Scenario.with_device_type` derivations can otherwise collide.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -27,6 +28,7 @@ from repro.devices.specs import DEVICE_CATALOG, DeviceInstance, make_cluster
 from repro.network.bandwidth import TRACE_KINDS
 from repro.network.topology import NetworkModel
 from repro.utils.rng import SeedLike, as_rng
+from repro.utils.specs import SpecGrammar, read_float
 
 #: (device type, bandwidth in Mbps) pair.
 DeviceSpec = Tuple[str, float]
@@ -348,6 +350,9 @@ TYPE_POOLS: Dict[str, Tuple[str, ...]] = {
 #: Prefix of generator spec strings accepted by :func:`resolve_scenario`.
 GENERATOR_PREFIX = "gen:"
 
+_GRAMMAR = SpecGrammar(GENERATOR_PREFIX, "generator")
+_GENERATOR_KEYS = ("n", "seed", "bw", "types", "trace")
+
 
 def _resolve_type_pool(heterogeneity: Union[str, Sequence[str]]) -> Tuple[str, ...]:
     """Turn the heterogeneity knob into a concrete tuple of device types."""
@@ -400,6 +405,8 @@ def generate_scenario(
     """
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
+    if seed < 0:
+        raise ValueError(f"generator option seed must be >= 0, got {seed}")
     if trace_kind not in TRACE_KINDS:
         raise ValueError(
             f"unknown trace kind {trace_kind!r}; expected {'|'.join(TRACE_KINDS)}"
@@ -438,25 +445,11 @@ def generate_scenario(
     )
 
 
-def _generator_options(spec: str) -> Dict[str, str]:
-    """Split a ``gen:key=value,...`` spec into its options, in spec order."""
-    if not spec.startswith(GENERATOR_PREFIX):
-        raise ValueError(f"generator spec must start with {GENERATOR_PREFIX!r}, got {spec!r}")
-    options: Dict[str, str] = {}
-    for item in filter(None, (part.strip() for part in spec[len(GENERATOR_PREFIX):].split(","))):
-        if "=" not in item:
-            raise ValueError(f"malformed generator option {item!r}; expected key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key in options:
-            raise ValueError(f"generator option {key!r} given more than once in {spec!r}")
-        options[key] = value
-    return options
-
-
 def parse_generator_spec(spec: str) -> Scenario:
     """Parse the CLI generator grammar into a :class:`Scenario`.
 
-    Grammar: ``gen:[key=value[,key=value...]]`` with keys
+    Grammar: ``gen:[key=value[,key=value...]]`` (the shared format of
+    :mod:`repro.utils.specs`) with keys
 
     ``n``      fleet size (default 16)
     ``seed``   composition seed (default 0)
@@ -466,23 +459,18 @@ def parse_generator_spec(spec: str) -> Scenario:
 
     Example: ``gen:n=32,seed=7,bw=50-300,types=mixed,trace=constant``.
     """
-    options = _generator_options(spec)
-    known = {"n", "seed", "bw", "types", "trace"}
-    unknown = set(options) - known
-    if unknown:
-        raise ValueError(f"unknown generator option(s) {sorted(unknown)}; known: {sorted(known)}")
+    options = _GRAMMAR.options(spec)
+    _GRAMMAR.check_keys(options, _GENERATOR_KEYS)
     bw = options.get("bw", "50-300")
-    if "-" in bw:
-        lo, _, hi = bw.partition("-")
-        if not lo or not hi:
-            raise ValueError(f"malformed bandwidth {bw!r}; expected '200' or '50-300'")
-        bandwidth: Union[float, Tuple[float, float]] = (float(lo), float(hi))
-    else:
-        bandwidth = float(bw)
+    # Split a range at its first '-' that is not an exponent sign (1e-05).
+    parts = re.split(r"(?<![eE])-", bw, maxsplit=1)
+    if not all(parts):
+        raise ValueError(f"malformed bandwidth {bw!r}; expected '200' or '50-300'")
+    rates = tuple(read_float("generator option bw", part) for part in parts)
     return generate_scenario(
-        num_devices=int(options.get("n", 16)),
-        seed=int(options.get("seed", 0)),
-        bandwidth_mbps=bandwidth,
+        num_devices=_GRAMMAR.integer(options, "n", 16),
+        seed=_GRAMMAR.integer(options, "seed", 0),
+        bandwidth_mbps=rates if len(rates) == 2 else rates[0],
         heterogeneity=options.get("types", "mixed"),
         trace_kind=options.get("trace", "constant"),
     )
@@ -497,14 +485,12 @@ def override_generator_spec(spec: str, **overrides) -> str:
     ``"gen:n=12,seed=7,bw=100"``), keeping every other knob — seed, types,
     bandwidth, trace — exactly as given, so probes differ only in size.
     """
-    options = _generator_options(spec)
-    for key, value in overrides.items():
-        options[str(key)] = str(value)
-    canonical = ("n", "seed", "bw", "types", "trace")
-    ordered = [k for k in canonical if k in options]
-    # Unknown keys are kept so parse_generator_spec still rejects them.
-    ordered += [k for k in options if k not in canonical]
-    return GENERATOR_PREFIX + ",".join(f"{k}={options[k]}" for k in ordered)
+    options = {**_GRAMMAR.options(spec), **overrides}
+    # Canonical keys first; unknown keys keep their order and are kept so
+    # parse_generator_spec still rejects them.
+    rank = {key: i for i, key in enumerate(_GENERATOR_KEYS)}
+    ordered = sorted(options, key=lambda key: rank.get(key, len(rank)))
+    return _GRAMMAR.render(**{key: options[key] for key in ordered})
 
 
 def resolve_scenario(name: str) -> Scenario:

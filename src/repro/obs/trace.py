@@ -388,6 +388,8 @@ def events_from_chrome(data: Dict) -> List[TraceEvent]:
     if not isinstance(records, list):
         raise ValueError("not a Chrome trace: missing 'traceEvents' list")
     for record in records:
+        if not isinstance(record, dict):
+            raise ValueError(f"not a Chrome trace: event {record!r} is not an object")
         if record.get("ph") == "M" and record.get("name") == "thread_name":
             threads[(record["pid"], record["tid"])] = record["args"]["name"]
     events: List[TraceEvent] = []

@@ -5,10 +5,11 @@ scenario finishes it.  This module removes that assumption with four pieces:
 
 * :class:`FaultTrace` — a seeded, deterministic timeline of device **join /
   leave / crash** events on an absolute-ms clock, plus the ``churn:`` spec
-  grammar (:func:`parse_churn_spec`, :func:`resolve_churn`) mirroring the
-  ``gen:`` / ``traffic:`` grammars.  A *crash* kills work in flight on the
-  device; a *leave* is graceful (in-flight work finishes, the device just
-  stops taking new work); a *join* revives a previously lost roster member.
+  grammar (:func:`parse_churn_spec`, :func:`resolve_churn`), written in the
+  spec format ``gen:`` and ``traffic:`` also use (:mod:`repro.utils.specs`).
+  A *crash* kills work in flight on the device; a *leave* is graceful
+  (in-flight work finishes, the device just stops taking new work); a *join*
+  revives a previously lost roster member.
 * :class:`RetryPolicy` — per-tenant recovery: max attempts, exponential
   backoff with counter-based seeded jitter (execution-order independent, so
   every serving loop draws identical delays), and an optional per-request
@@ -40,12 +41,16 @@ import numpy as np
 
 from repro.runtime.plan import DistributionPlan
 from repro.utils.rng import counter_rng
+from repro.utils.specs import SpecGrammar, read_float, read_int, render_value
 
 #: Prefix of churn spec strings accepted by :func:`resolve_churn`.
 CHURN_PREFIX = "churn:"
 
 #: Event kinds the grammar understands.
 CHURN_KINDS = ("crash", "leave", "join")
+
+_GRAMMAR = SpecGrammar(CHURN_PREFIX, "churn", usage="churn:events=... or churn:crashes=...,seed=...")
+_CHURN_KEYS = ("events", "crashes", "leaves", "joins", "seed", "start_ms", "window_ms")
 
 
 # ---------------------------------------------------------------------- #
@@ -209,9 +214,8 @@ class FaultTrace:
     @property
     def spec(self) -> str:
         """Canonical ``churn:`` spec; ``resolve_churn(spec, num_devices)``
-        rebuilds an equal trace."""
-        body = ";".join(f"{e.kind}:{e.device}@{e.t_ms:g}" for e in self.events)
-        return f"{CHURN_PREFIX}events={body}"
+        rebuilds an equal trace (an empty one renders as the seeded form)."""
+        return ChurnSpec(events=tuple((e.kind, e.device, e.t_ms) for e in self.events)).spec
 
 
 # ---------------------------------------------------------------------- #
@@ -247,6 +251,8 @@ class ChurnSpec:
             raise ValueError(f"churn option start_ms must be >= 0, got {self.start_ms}")
         if self.window_ms <= 0:
             raise ValueError(f"churn option window_ms must be > 0, got {self.window_ms}")
+        if not math.isfinite(self.start_ms + self.window_ms):
+            raise ValueError(f"churn window end {self.start_ms} + {self.window_ms} must be finite")
 
     def resolve(self, num_devices: int) -> FaultTrace:
         """Materialise a :class:`FaultTrace` for a fleet of ``num_devices``."""
@@ -293,35 +299,11 @@ class ChurnSpec:
     @property
     def spec(self) -> str:
         if self.events:
-            body = ";".join(f"{k}:{d}@{t:g}" for k, d, t in self.events)
-            return f"{CHURN_PREFIX}events={body}"
-        return (
-            f"{CHURN_PREFIX}crashes={self.crashes},leaves={self.leaves},joins={self.joins},"
-            f"seed={self.seed},start_ms={self.start_ms:g},window_ms={self.window_ms:g}"
+            return _GRAMMAR.render(events=";".join(f"{k}:{d}@{render_value(t)}" for k, d, t in self.events))
+        return _GRAMMAR.render(
+            crashes=self.crashes, leaves=self.leaves, joins=self.joins,
+            seed=self.seed, start_ms=self.start_ms, window_ms=self.window_ms,
         )
-
-
-def _parse_churn_float(options: Dict[str, str], key: str, default: float) -> float:
-    raw = options.get(key)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"churn option {key}={raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ValueError(f"churn option {key}={raw!r} must be finite")
-    return value
-
-
-def _parse_churn_int(options: Dict[str, str], key: str, default: int) -> int:
-    raw = options.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"churn option {key}={raw!r} is not an integer") from None
 
 
 def _parse_event_item(item: str) -> Tuple[str, int, float]:
@@ -338,23 +320,14 @@ def _parse_event_item(item: str) -> Tuple[str, int, float]:
         raise ValueError(
             f"unknown churn event kind {kind!r} in {item!r}; expected one of {sorted(CHURN_KINDS)}"
         )
-    try:
-        device = int(dev_raw.strip())
-    except ValueError:
-        raise ValueError(f"churn event {item!r} device {dev_raw!r} is not an integer") from None
-    try:
-        t_ms = float(t_raw.strip())
-    except ValueError:
-        raise ValueError(f"churn event {item!r} time {t_raw!r} is not a number") from None
-    if not math.isfinite(t_ms):
-        raise ValueError(f"churn event {item!r} time {t_raw!r} must be finite")
-    return kind, device, t_ms
+    device = read_int(f"churn event {item!r} device", dev_raw.strip())
+    return kind, device, read_float(f"churn event {item!r} time", t_raw.strip())
 
 
 def parse_churn_spec(spec: str) -> ChurnSpec:
     """Parse the ``churn:`` grammar into a :class:`ChurnSpec`.
 
-    Two forms, mirroring ``gen:`` / ``traffic:``:
+    Two forms, in the spec format of :mod:`repro.utils.specs`:
 
     ==========  =================================================================
     form        keys (defaults)
@@ -370,30 +343,8 @@ def parse_churn_spec(spec: str) -> ChurnSpec:
     non-decreasing, device ids must name roster members, and the fleet must
     stay non-empty — violations raise ``ValueError`` at resolve time.
     """
-    if not isinstance(spec, str) or not spec.startswith(CHURN_PREFIX):
-        raise ValueError(f"churn spec must start with {CHURN_PREFIX!r}, got {spec!r}")
-    body = spec[len(CHURN_PREFIX):]
-    items = [part.strip() for part in body.split(",") if part.strip()]
-    if not items:
-        raise ValueError(
-            f"empty churn spec {spec!r}; expected churn:events=... or "
-            "churn:crashes=...,seed=..."
-        )
-    options: Dict[str, str] = {}
-    for item in items:
-        if "=" not in item:
-            raise ValueError(f"malformed churn option {item!r}; expected key=value")
-        key, value = item.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key in options:
-            raise ValueError(f"duplicate churn option {key!r} in {spec!r}")
-        options[key] = value
-    known = ("events", "crashes", "leaves", "joins", "seed", "start_ms", "window_ms")
-    unknown = set(options) - set(known)
-    if unknown:
-        raise ValueError(
-            f"unknown churn option(s) {sorted(unknown)}; known: {sorted(known)}"
-        )
+    options = _GRAMMAR.options(spec)
+    _GRAMMAR.check_keys(options, _CHURN_KEYS)
     if "events" in options:
         extra = set(options) - {"events"}
         if extra:
@@ -401,18 +352,18 @@ def parse_churn_spec(spec: str) -> ChurnSpec:
                 f"churn:events=... cannot be combined with {sorted(extra)}; "
                 "the explicit and seeded forms are mutually exclusive"
             )
-        raw = options["events"]
-        if not raw:
+        events = tuple(_parse_event_item(part) for part in options["events"].split(";") if part.strip())
+        if not events:
             raise ValueError("churn:events requires at least one <kind>:<device>@<t_ms> item")
-        events = tuple(_parse_event_item(part) for part in raw.split(";") if part.strip())
         return ChurnSpec(events=events)
+    number, integer = _GRAMMAR.number, _GRAMMAR.integer
     return ChurnSpec(
-        crashes=_parse_churn_int(options, "crashes", 0),
-        leaves=_parse_churn_int(options, "leaves", 0),
-        joins=_parse_churn_int(options, "joins", 0),
-        seed=_parse_churn_int(options, "seed", 0),
-        start_ms=_parse_churn_float(options, "start_ms", 1000.0),
-        window_ms=_parse_churn_float(options, "window_ms", 10000.0),
+        crashes=integer(options, "crashes", 0),
+        leaves=integer(options, "leaves", 0),
+        joins=integer(options, "joins", 0),
+        seed=integer(options, "seed", 0),
+        start_ms=number(options, "start_ms", 1000.0),
+        window_ms=number(options, "window_ms", 10000.0),
     )
 
 

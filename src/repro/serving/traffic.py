@@ -15,9 +15,10 @@ covering the canonical traffic shapes
   production traces),
 
 plus the ``traffic:`` spec grammar (:func:`parse_traffic_spec`,
-:func:`resolve_traffic`) mirroring the scenario generator's ``gen:`` grammar,
-so CLI users and serialised experiment configs name traffic the same way they
-name fleets.
+:func:`resolve_traffic`), written in the spec format the scenario
+generator's ``gen:`` grammar also uses (:mod:`repro.utils.specs`), so CLI
+users and serialised experiment configs name traffic the same way they name
+fleets.
 
 Determinism contract: :meth:`ArrivalProcess.arrival_times` is a pure function
 of ``(spec fields, duration_s, start_s)`` — every call rebuilds its generator
@@ -31,15 +32,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
+
+from repro.utils.specs import SpecGrammar, render_value
 
 #: Prefix of traffic spec strings accepted by :func:`resolve_traffic`.
 TRAFFIC_PREFIX = "traffic:"
 
 #: Kinds the grammar understands (``bursty`` is an alias for ``mmpp``).
 TRAFFIC_KINDS = ("poisson", "mmpp", "diurnal", "trace")
+
+_USAGE = f"traffic:<kind>[,key=value...] with kind one of {sorted(TRAFFIC_KINDS)}"
+_GRAMMAR = SpecGrammar(TRAFFIC_PREFIX, "traffic", usage=_USAGE, word_key="kind")
 
 
 class ArrivalProcess:
@@ -114,7 +120,7 @@ class PoissonArrivals(ArrivalProcess):
 
     @property
     def spec(self) -> str:
-        return f"{TRAFFIC_PREFIX}poisson,rate={self.rate_rps:g},seed={self.seed}"
+        return _GRAMMAR.render("poisson", rate=self.rate_rps, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -170,9 +176,9 @@ class MMPPArrivals(ArrivalProcess):
 
     @property
     def spec(self) -> str:
-        return (
-            f"{TRAFFIC_PREFIX}mmpp,low={self.low_rps:g},high={self.high_rps:g},"
-            f"dwell_low={self.dwell_low_s:g},dwell_high={self.dwell_high_s:g},seed={self.seed}"
+        return _GRAMMAR.render(
+            "mmpp", low=self.low_rps, high=self.high_rps, dwell_low=self.dwell_low_s,
+            dwell_high=self.dwell_high_s, seed=self.seed,
         )
 
 
@@ -224,9 +230,8 @@ class DiurnalArrivals(ArrivalProcess):
 
     @property
     def spec(self) -> str:
-        return (
-            f"{TRAFFIC_PREFIX}diurnal,base={self.base_rps:g},peak={self.peak_rps:g},"
-            f"period={self.period_s:g},seed={self.seed}"
+        return _GRAMMAR.render(
+            "diurnal", base=self.base_rps, peak=self.peak_rps, period=self.period_s, seed=self.seed
         )
 
 
@@ -262,8 +267,7 @@ class TraceArrivals(ArrivalProcess):
 
     @property
     def spec(self) -> str:
-        times = ";".join(f"{t:g}" for t in self.offsets_s)
-        return f"{TRAFFIC_PREFIX}trace,times={times}"
+        return _GRAMMAR.render("trace", times=";".join(map(render_value, self.offsets_s)))
 
 
 # ---------------------------------------------------------------------- #
@@ -271,43 +275,11 @@ class TraceArrivals(ArrivalProcess):
 # ---------------------------------------------------------------------- #
 
 
-def _parse_float(options: Dict[str, str], key: str, default: float) -> float:
-    raw = options.get(key)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"traffic option {key}={raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ValueError(f"traffic option {key}={raw!r} must be finite")
-    return value
-
-
-def _parse_int(options: Dict[str, str], key: str, default: int) -> int:
-    raw = options.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"traffic option {key}={raw!r} is not an integer") from None
-
-
-def _check_keys(kind: str, options: Dict[str, str], known: Tuple[str, ...]) -> None:
-    unknown = set(options) - set(known)
-    if unknown:
-        raise ValueError(
-            f"unknown traffic option(s) {sorted(unknown)} for kind {kind!r}; "
-            f"known: {sorted(known)}"
-        )
-
-
 def parse_traffic_spec(spec: str) -> ArrivalProcess:
     """Parse the ``traffic:`` grammar into an :class:`ArrivalProcess`.
 
     Grammar: ``traffic:<kind>[,key=value...]`` (the kind may also be given
-    as ``kind=<kind>``), mirroring the scenario generator's ``gen:`` specs.
+    as ``kind=<kind>``), in the spec format of :mod:`repro.utils.specs`.
 
     ===========  ===============================================================
     kind         keys (defaults)
@@ -322,69 +294,46 @@ def parse_traffic_spec(spec: str) -> ArrivalProcess:
 
     Example: ``traffic:mmpp,low=0.5,high=20,dwell_high=3,seed=7``.
     """
-    if not isinstance(spec, str) or not spec.startswith(TRAFFIC_PREFIX):
-        raise ValueError(f"traffic spec must start with {TRAFFIC_PREFIX!r}, got {spec!r}")
-    body = spec[len(TRAFFIC_PREFIX):]
-    items = [part.strip() for part in body.split(",") if part.strip()]
-    if not items:
-        raise ValueError(
-            f"empty traffic spec {spec!r}; expected traffic:<kind>[,key=value...] "
-            f"with kind one of {sorted(TRAFFIC_KINDS)}"
-        )
-    options: Dict[str, str] = {}
-    kind = None
-    for i, item in enumerate(items):
-        if "=" not in item:
-            if i == 0:
-                kind = item
-                continue
-            raise ValueError(f"malformed traffic option {item!r}; expected key=value")
-        key, value = item.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key in options or (key == "kind" and kind is not None):
-            raise ValueError(f"duplicate traffic option {key!r} in {spec!r}")
-        options[key] = value
-    kind = kind or options.pop("kind", None)
+    options = _GRAMMAR.options(spec)
+    kind = options.pop("kind", None)
     if kind is None:
-        raise ValueError(
-            f"traffic spec {spec!r} names no kind; expected traffic:<kind>[,...] "
-            f"with kind one of {sorted(TRAFFIC_KINDS)}"
-        )
+        raise ValueError(f"traffic spec {spec!r} names no kind; expected {_USAGE}")
     kind = kind.lower()
     if kind == "bursty":
         kind = "mmpp"
+    number, integer = _GRAMMAR.number, _GRAMMAR.integer
     if kind == "poisson":
-        _check_keys(kind, options, ("rate", "seed"))
+        _GRAMMAR.check_keys(options, ("rate", "seed"), kind)
         return PoissonArrivals(
-            rate_rps=_parse_float(options, "rate", 1.0),
-            seed=_parse_int(options, "seed", 0),
+            rate_rps=number(options, "rate", 1.0),
+            seed=integer(options, "seed", 0),
         )
     if kind == "mmpp":
-        _check_keys(kind, options, ("low", "high", "dwell_low", "dwell_high", "seed"))
+        _GRAMMAR.check_keys(options, ("low", "high", "dwell_low", "dwell_high", "seed"), kind)
         return MMPPArrivals(
-            low_rps=_parse_float(options, "low", 1.0),
-            high_rps=_parse_float(options, "high", 10.0),
-            dwell_low_s=_parse_float(options, "dwell_low", 20.0),
-            dwell_high_s=_parse_float(options, "dwell_high", 5.0),
-            seed=_parse_int(options, "seed", 0),
+            low_rps=number(options, "low", 1.0),
+            high_rps=number(options, "high", 10.0),
+            dwell_low_s=number(options, "dwell_low", 20.0),
+            dwell_high_s=number(options, "dwell_high", 5.0),
+            seed=integer(options, "seed", 0),
         )
     if kind == "diurnal":
-        _check_keys(kind, options, ("base", "peak", "period", "seed"))
+        _GRAMMAR.check_keys(options, ("base", "peak", "period", "seed"), kind)
         return DiurnalArrivals(
-            base_rps=_parse_float(options, "base", 1.0),
-            peak_rps=_parse_float(options, "peak", 10.0),
-            period_s=_parse_float(options, "period", 3600.0),
-            seed=_parse_int(options, "seed", 0),
+            base_rps=number(options, "base", 1.0),
+            peak_rps=number(options, "peak", 10.0),
+            period_s=number(options, "period", 3600.0),
+            seed=integer(options, "seed", 0),
         )
     if kind == "trace":
-        _check_keys(kind, options, ("times",))
-        raw = options.get("times")
-        if raw is None or not raw.strip():
-            raise ValueError("traffic:trace requires times=<t0;t1;...> (seconds)")
+        _GRAMMAR.check_keys(options, ("times",), kind)
+        raw = options.get("times", "")
         try:
             offsets = tuple(float(part) for part in raw.split(";") if part.strip())
         except ValueError:
             raise ValueError(f"traffic:trace times={raw!r} contains a non-number") from None
+        if not offsets:
+            raise ValueError("traffic:trace requires times=<t0;t1;...> (seconds)")
         if not all(math.isfinite(t) for t in offsets):
             raise ValueError(f"traffic:trace times={raw!r} must all be finite")
         return TraceArrivals(offsets_s=offsets)

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 
 def check_positive(value: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``value`` is strictly positive."""
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+    """Raise ``ValueError`` unless ``value`` is strictly positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value!r}")
     return value
 
 

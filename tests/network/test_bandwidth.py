@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.devices.specs import make_cluster
 from repro.network.bandwidth import ConstantTrace, DynamicTrace, WiFiTrace, make_trace
 
 
@@ -20,6 +21,14 @@ class TestConstantTrace:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             ConstantTrace(0.0)
+
+    @pytest.mark.parametrize("mbps", [float("inf"), float("nan")])
+    def test_rejects_non_finite_links_everywhere(self, mbps):
+        """Regression: an infinite link was accepted and planned as free
+        transfer, while the CLI's --bandwidth already rejected it."""
+        for build in (ConstantTrace, WiFiTrace, lambda b: make_cluster([("nano", b)])):
+            with pytest.raises(ValueError, match="finite"):
+                build(mbps)
 
 
 class TestWiFiTrace:

@@ -616,6 +616,10 @@ class TestInputBoundary:
             ["plan", "--scenario", "DB", "--random-splits", "0"],
             ["plan", "--devices", "nano:abc"],
             ["plan", "--devices", "foo:100"],
+            ["plan", "--devices", "nano:inf"],
+            ["plan", "--scenario", "gen:n=4,seed=x"],
+            ["plan", "--scenario", "gen:n=4,bw=abc"],
+            ["plan", "--scenario", "gen:n=4,seed=-1"],
             ["compare", "--scenario", "DB", "--episodes", "0"],
             ["compare", "--scenario", "DB", "--random-splits", "0"],
             ["compare", "--scenario", "DB", "--episode-batch", "0"],
@@ -629,21 +633,24 @@ class TestInputBoundary:
             ["serve", "--alerts", "--alert-fast-s", "nan"],
             ["analyze", "--top", "0"],
             ["analyze", "--top", "-1"],
+            ["analyze", "--trace-json", "{tmp}/non-object-event.json"],
         ],
         ids=[
             "plan-episodes", "plan-episode-batch", "plan-policy-refresh",
             "plan-alpha", "plan-alpha-nan", "plan-random-splits",
-            "plan-device-bandwidth", "plan-device-type",
+            "plan-device-bandwidth", "plan-device-type", "plan-device-bandwidth-inf",
+            "plan-gen-seed-text", "plan-gen-bw-text", "plan-gen-seed-negative",
             "compare-episodes", "compare-random-splits", "compare-episode-batch",
             "evaluate-missing-file", "evaluate-not-json",
             "serve-window-ms-nan", "analyze-window-ms-nan",
             "autoscale-windows", "autoscale-window-s-nan",
             "serve-retry-backoff-nan", "serve-alert-window-nan",
-            "analyze-top-0", "analyze-top-negative",
+            "analyze-top-0", "analyze-top-negative", "analyze-trace-non-object-event",
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
         (tmp_path / "not-json.json").write_text('{"a":\n')
+        (tmp_path / "non-object-event.json").write_text('{"traceEvents": [3]}')
         try:
             code = main([arg.format(tmp=tmp_path) for arg in argv])
         except SystemExit as exc:  # rejected by argparse itself
