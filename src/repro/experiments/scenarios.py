@@ -347,6 +347,11 @@ TYPE_POOLS: Dict[str, Tuple[str, ...]] = {
     "cpu": ("pi3",),
 }
 
+#: Largest fleet :func:`generate_scenario` builds.  The paper's large-scale
+#: runs use up to 64 devices; the bound sits far above that and exists so a
+#: mistyped ``gen:n`` fails with one line instead of allocating the fleet.
+MAX_GENERATED_DEVICES = 1024
+
 #: Prefix of generator spec strings accepted by :func:`resolve_scenario`.
 GENERATOR_PREFIX = "gen:"
 
@@ -385,7 +390,8 @@ def generate_scenario(
     Parameters
     ----------
     num_devices:
-        Fleet size; the large-scale experiments use 16-64.
+        Fleet size, at most :data:`MAX_GENERATED_DEVICES`; the large-scale
+        experiments use 16-64.
     seed:
         Seed of the fleet-composition RNG.  The same knob values always
         produce the identical scenario (name included), so a spec string
@@ -403,6 +409,10 @@ def generate_scenario(
         Trace family every link uses when the scenario is built, one of
         :data:`~repro.network.bandwidth.TRACE_KINDS`.
     """
+    if num_devices > MAX_GENERATED_DEVICES:
+        raise ValueError(
+            f"generator option n must be <= {MAX_GENERATED_DEVICES}, got {num_devices}"
+        )
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
     if seed < 0:
@@ -513,6 +523,7 @@ __all__ = [
     "DeviceSpec",
     "TYPE_POOLS",
     "GENERATOR_PREFIX",
+    "MAX_GENERATED_DEVICES",
     "generate_scenario",
     "override_generator_spec",
     "parse_generator_spec",

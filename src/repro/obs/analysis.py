@@ -39,9 +39,13 @@ engines exactly when every derived float is the same bits.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from itertools import count, repeat
+from math import copysign
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.obs.trace import TraceEvent, Tracer, events_from_chrome
+import numpy as np
+
+from repro.obs.trace import _MISSING, TraceEvent, Tracer, _TraceTable, events_from_chrome
 
 #: Sliver-coverage tie break: a compute span outranks a send span
 #: outranks a recv span covering the same instant.
@@ -84,49 +88,34 @@ def _lane_rank(track: str) -> Tuple[int, str]:
     return (ROLE_PRIORITY.get(role, len(ROLE_PRIORITY)), track)
 
 
-class RequestAttribution:
-    """One completed request's exact latency breakdown."""
+def _same_float(a: float, b: float) -> bool:
+    """``repr(a) == repr(b)`` for floats, without building the strings:
+    equal value and equal sign of zero, and any NaN equals any NaN."""
+    if a == b:
+        return a != 0.0 or copysign(1.0, a) == copysign(1.0, b)
+    return a != a and b != b
 
-    __slots__ = (
-        "tenant", "index", "start_ms", "latency_ms", "queue_ms",
-        "contended", "gate_wait_ms", "lane_wait_ms", "segments", "_by_label",
-    )
 
-    def __init__(
-        self,
-        tenant: str,
-        index: int,
-        start_ms: float,
-        latency_ms: float,
-        queue_ms: float,
-        contended: bool,
-        gate_wait_ms: float,
-        lane_wait_ms: float,
-        segments: List[Segment],
-    ) -> None:
-        self.tenant = tenant
-        self.index = index
-        self.start_ms = start_ms
-        self.latency_ms = latency_ms
-        self.queue_ms = queue_ms
-        self.contended = contended
-        self.gate_wait_ms = gate_wait_ms
-        self.lane_wait_ms = lane_wait_ms
-        self.segments = segments
-        self._by_label: Optional[Dict[str, float]] = None
+class RequestAttribution(NamedTuple):
+    """One completed request's exact latency breakdown (an immutable record)."""
+
+    tenant: str
+    index: int
+    start_ms: float
+    latency_ms: float
+    queue_ms: float
+    contended: bool
+    gate_wait_ms: float
+    lane_wait_ms: float
+    segments: List[Segment]
 
     @property
     def by_label(self) -> Dict[str, float]:
-        """Per-label duration sums, computed lazily from the tiling."""
-        cached = self._by_label
-        if cached is None:
-            cached = {}
-            for seg in self.segments:
-                cached[seg.label] = cached.get(seg.label, 0.0) + (
-                    seg.end_ms - seg.start_ms
-                )
-            self._by_label = cached
-        return cached
+        """Per-label duration sums of the tiling."""
+        totals: Dict[str, float] = {}
+        for seg in self.segments:
+            totals[seg.label] = totals.get(seg.label, 0.0) + (seg.end_ms - seg.start_ms)
+        return totals
 
     @property
     def attributed_ms(self) -> float:
@@ -137,7 +126,7 @@ class RequestAttribution:
         """Assert the tiling is a bit-exact account of ``latency_ms``.
 
         The chain must start at ``0.0``, every boundary must be *the same
-        float* on both sides (``repr`` equality, i.e. equal bits) and the
+        float* on both sides (``repr`` equality: :func:`_same_float`) and the
         last breakpoint must be the committed latency itself — which makes
         the telescoped sum of segment durations exactly the measured
         latency, with no rounding anywhere.
@@ -147,21 +136,22 @@ class RequestAttribution:
                 f"{self.tenant}[{self.index}]: empty tiling for "
                 f"latency {self.latency_ms!r}"
             )
-        if repr(self.segments[0].start_ms) != repr(0.0):
+        segments = self.segments
+        if not _same_float(segments[0].start_ms, 0.0):
             raise AssertionError(
                 f"{self.tenant}[{self.index}]: tiling starts at "
-                f"{self.segments[0].start_ms!r}, not 0.0"
+                f"{segments[0].start_ms!r}, not 0.0"
             )
-        for prev, seg in zip(self.segments, self.segments[1:]):
-            if repr(prev.end_ms) != repr(seg.start_ms):
+        for prev, seg in zip(segments, segments[1:]):
+            if not _same_float(prev.end_ms, seg.start_ms):
                 raise AssertionError(
                     f"{self.tenant}[{self.index}]: gap between {prev!r} "
                     f"and {seg!r}"
                 )
-        if repr(self.segments[-1].end_ms) != repr(self.latency_ms):
+        if not _same_float(segments[-1].end_ms, self.latency_ms):
             raise AssertionError(
                 f"{self.tenant}[{self.index}]: tiling ends at "
-                f"{self.segments[-1].end_ms!r}, latency is {self.latency_ms!r}"
+                f"{segments[-1].end_ms!r}, latency is {self.latency_ms!r}"
             )
 
     @property
@@ -446,128 +436,165 @@ def _tile_request(
     return segments
 
 
+#: Tenant-track streams read one record at a time, because their args
+#: differ per event (lane spans, on any track, are read that way too).
+_PER_EVENT = {("request", "dispatch"), ("fault", "retry"), ("fault", "retry_chain")}
+
+#: Tenant-track instants that only count: ``(kind, name)`` -> rollup field.
+_COUNTED = {
+    ("admission", "reject"): "rejects",
+    ("admission", "deny"): "denies",
+    ("admission", "requeue"): "requeues",
+    ("fault", "shed"): "sheds",
+    ("fault", "abandon"): "abandons",
+    ("control", "replan"): "replans",
+}
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
 class _TenantEvents:
-    """One tenant's events, bucketed by what the analysis needs."""
+    """One tenant's rows and records, bucketed by what the analysis needs."""
 
     __slots__ = (
-        "serve", "queue", "dispatches", "final_by_release", "spans", "rollup",
+        "serve", "queue", "complete", "dispatches", "final_by_release", "spans",
+        "rollup",
     )
 
     def __init__(self, name: str) -> None:
-        self.serve: List[Tuple[float, float]] = []  # (start_ms, latency_ms)
-        self.queue: List[float] = []  # queue wait per request, arrival order
+        # Row ids of the lifecycle streams, in canonical order.
+        self.serve = self.queue = self.complete = _NO_ROWS
         self.dispatches: List[Tuple[float, float, bool]] = []  # (release, lat, truncated)
         self.final_by_release: Dict[float, Tuple[float, bool]] = {}  # (gate, contended)
         self.spans: List[Tuple[float, str, float, tuple]] = []  # (ts, track, dur, args)
         self.rollup = TenantAttribution(name)
 
 
-def analyze_events(events: Iterable[TraceEvent]) -> AnalysisReport:
-    """Attribute one serving run's canonical event stream.
+def _fold(values) -> float:
+    """Left-to-right sum from ``0.0``: the rounding of a ``+=`` loop."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
-    ``events`` must be a full run's trace in canonical order — pass a
-    :class:`Tracer` to :func:`analyze_trace` or a Chrome export to
-    :func:`analyze_chrome` rather than calling this directly.
-    """
+
+def _records(cls, *columns) -> Iterator[tuple]:
+    """``cls`` records (a NamedTuple) built from columns at C speed."""
+    return map(tuple.__new__, repeat(cls), zip(*columns))
+
+
+def _split(values: list, lengths: List[int]) -> List[list]:
+    """Cut ``values`` into consecutive pieces of the given lengths."""
+    pieces, at = [], 0
+    for length in lengths:
+        pieces.append(values[at:at + length])
+        at += length
+    return pieces
+
+
+def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
+    """Attribute the trace held by ``table``, reading its rows in ``order``."""
     tenants: Dict[str, _TenantEvents] = {}
-    tenants_get = tenants.get
 
-    # The stream is large (four lifecycle events per request plus lane
-    # spans) and this loop dominates `repro analyze`, so it unpacks the
-    # TraceEvent tuple directly and scans the args pair-tuple in place
-    # instead of building a dict per event.
-    for ts_ms, track, kind, name, dur_ms, raw_args in events:
+    def tenant_entry(name: str) -> _TenantEvents:
+        entry = tenants.get(name)
+        if entry is None:
+            entry = tenants[name] = _TenantEvents(name)
+        return entry
+
+    # Whole streams: the lifecycle columns and the counted instants.
+    per_event = np.zeros(len(table.streams), dtype=bool)
+    for sid, ((track, kind, name), rows) in enumerate(
+        zip(table.streams, table.rows_by_stream(order))
+    ):
+        if kind == "lane":
+            per_event[sid] = True
+        elif track.startswith("tenant:"):
+            entry = tenant_entry(track[7:])  # len("tenant:")
+            if (kind, name) in _PER_EVENT:
+                per_event[sid] = True
+            elif kind == "request" and name in ("serve", "queue", "complete"):
+                setattr(entry, name, rows)
+            elif (kind, name) in _COUNTED:
+                field = _COUNTED[(kind, name)]
+                setattr(entry.rollup, field, getattr(entry.rollup, field) + len(rows))
+
+    # Records whose args differ per event, in order.
+    live_rows = order[per_event[table.stream[order]]].tolist()
+    for ts_ms, track, kind, name, dur_ms, raw_args in map(table.event, live_rows):
         if kind == "lane":
             tenant_name = ""
             for key, value in raw_args:
                 if key == "tenant":
                     tenant_name = str(value)
                     break
-            entry = tenants_get(tenant_name)
-            if entry is None:
-                entry = tenants[tenant_name] = _TenantEvents(tenant_name)
-            entry.spans.append((ts_ms, track, dur_ms, raw_args))
+            tenant_entry(tenant_name).spans.append((ts_ms, track, dur_ms, raw_args))
             continue
-        if not track.startswith("tenant:"):
-            continue
-        tenant_name = track[7:]  # len("tenant:")
-        entry = tenants_get(tenant_name)
-        if entry is None:
-            entry = tenants[tenant_name] = _TenantEvents(tenant_name)
-        if kind == "request":
-            if name == "serve":
-                latency = dur_ms
-                for key, value in raw_args:
-                    if key == "latency_ms":
-                        latency = float(value)
-                        break
-                entry.serve.append((ts_ms, latency))
-            elif name == "queue":
-                entry.queue.append(dur_ms)
-            elif name == "dispatch":
-                latency = 0.0
-                truncated = False
-                gate_wait = 0.0
-                contended = False
-                for key, value in raw_args:
-                    if key == "latency_ms":
-                        latency = float(value)
-                    elif key == "truncated":
-                        truncated = bool(value)
-                    elif key == "gate_wait_ms":
-                        gate_wait = float(value)
-                    elif key == "contended":
-                        contended = bool(value)
-                entry.dispatches.append((ts_ms, latency, truncated))
-                if truncated:
-                    entry.rollup.lost_attempt_ms += latency
-                else:
-                    entry.final_by_release[ts_ms] = (gate_wait, contended)
-            elif name == "complete":
-                rollup = entry.rollup
-                for key, value in raw_args:
-                    if key == "response_ms":
-                        rollup.response_ms += float(value)
-                    elif key == "deadline_missed" and value:
-                        rollup.misses += 1
-        elif kind == "admission":
-            if name == "reject":
-                entry.rollup.rejects += 1
-            elif name == "deny":
-                entry.rollup.denies += 1
-            elif name == "requeue":
-                entry.rollup.requeues += 1
-        elif kind == "fault":
-            if name == "shed":
-                entry.rollup.sheds += 1
-            elif name == "abandon":
-                entry.rollup.abandons += 1
-            elif name == "retry":
-                args = dict(raw_args)
-                entry.rollup.retries += 1
-                entry.rollup.retry_backoff_ms += float(args.get("delay_ms", 0.0))
-                entry.rollup.lost_attempts += 1
-            elif name == "retry_chain":
-                args = dict(raw_args)
-                entry.rollup.retries += max(int(args.get("attempts", 1)) - 1, 0)
-                entry.rollup.retry_backoff_ms += float(args.get("retry_added_ms", 0.0))
-                entry.rollup.lost_attempts += int(args.get("lost_attempts", 0))
-        elif kind == "control" and name == "replan":
-            entry.rollup.replans += 1
+        entry = tenants[track[7:]]
+        rollup = entry.rollup
+        if name == "dispatch":
+            latency = 0.0
+            truncated = False
+            gate_wait = 0.0
+            contended = False
+            for key, value in raw_args:
+                if key == "latency_ms":
+                    latency = float(value)
+                elif key == "truncated":
+                    truncated = bool(value)
+                elif key == "gate_wait_ms":
+                    gate_wait = float(value)
+                elif key == "contended":
+                    contended = bool(value)
+            entry.dispatches.append((ts_ms, latency, truncated))
+            if truncated:
+                rollup.lost_attempt_ms += latency
+            else:
+                entry.final_by_release[ts_ms] = (gate_wait, contended)
+        elif name == "retry":
+            args = dict(raw_args)
+            rollup.retries += 1
+            rollup.retry_backoff_ms += float(args.get("delay_ms", 0.0))
+            rollup.lost_attempts += 1
+        else:  # retry_chain
+            args = dict(raw_args)
+            rollup.retries += max(int(args.get("attempts", 1)) - 1, 0)
+            rollup.retry_backoff_ms += float(args.get("retry_added_ms", 0.0))
+            rollup.lost_attempts += int(args.get("lost_attempts", 0))
+
+    # The lifecycle columns of every tenant, read in one pass per column;
+    # serve spans pair with queue spans by rank.
+    names = sorted(tenants)
+    entries = [tenants[name] for name in names]
+    for entry in entries:
+        if len(entry.queue) != len(entry.serve):
+            raise AnalysisError(
+                f"tenant {entry.rollup.name!r}: {len(entry.queue)} queue spans for "
+                f"{len(entry.serve)} serve spans — not a full run trace"
+            )
+    serve = np.concatenate([_NO_ROWS] + [entry.serve for entry in entries])
+    queue = np.concatenate([_NO_ROWS] + [entry.queue for entry in entries])
+    complete = np.concatenate([_NO_ROWS] + [entry.complete for entry in entries])
+    served = [len(entry.serve) for entry in entries]
+    completed = [len(entry.complete) for entry in entries]
+    starts = _split(table.ts[serve].tolist(), served)
+    latencies = _split([
+        duration if latency is _MISSING else float(latency)
+        for latency, duration in zip(
+            table.arg_column(serve, "latency_ms"), table.dur[serve].tolist()
+        )
+    ], served)
+    queues = _split(table.dur[queue].tolist(), served)
+    responses = _split(table.arg_column(complete, "response_ms"), completed)
+    misses = _split(table.arg_column(complete, "deadline_missed"), completed)
 
     requests: List[RequestAttribution] = []
     rollups: List[TenantAttribution] = []
     lanes: Dict[str, LaneAttribution] = {}
     truncated_attempts = 0
 
-    for name in sorted(tenants):
-        entry = tenants[name]
+    for t, (name, entry) in enumerate(zip(names, entries)):
         rollup = entry.rollup
-        if len(entry.queue) != len(entry.serve):
-            raise AnalysisError(
-                f"tenant {name!r}: {len(entry.queue)} queue spans for "
-                f"{len(entry.serve)} serve spans — not a full run trace"
-            )
         # Bucket each lane span onto the dispatch whose release precedes it
         # (per-tenant releases are strictly ordered by the sequential
         # contended dispatcher, and a request's lanes never start before
@@ -608,33 +635,52 @@ def analyze_events(events: Iterable[TraceEvent]) -> AnalysisReport:
         truncated_attempts += truncated_here
         rollup.lost_attempts += truncated_here
 
-        for index, ((start_ms, latency_ms), queue_ms) in enumerate(
-            zip(entry.serve, entry.queue)
-        ):
-            final = entry.final_by_release.get(start_ms)
-            if final is None:
-                segments = [Segment("service", "", 0.0, latency_ms)]
-                contended = False
-                gate_wait = 0.0
-                lane_wait = 0.0
-            else:
-                gate_wait, contended = final
-                segments = _tile_request(
-                    latency_ms, gate_wait, spans_by_release.get(start_ms, [])
-                )
-                lane_wait = wait_by_release.get(start_ms, 0.0)
-            requests.append(RequestAttribution(
-                name, index, start_ms, latency_ms, queue_ms,
-                contended, gate_wait, lane_wait, segments,
+        rollup.response_ms = _fold(float(r) for r in responses[t] if r is not _MISSING)
+        rollup.misses = sum(1 for missed in misses[t] if missed is not _MISSING and missed)
+        rollup.requests = served[t]
+        rollup.queue_ms = _fold(queues[t])
+        rollup.latency_ms = _fold(latencies[t])
+
+        # Per-label sums fold in request order, one label at a time.  An
+        # uncontended request is one service segment, and latency - 0.0 is
+        # the latency itself.
+        by_label = rollup.by_label
+        final = entry.final_by_release
+        if not final:  # no dispatch: every request saw an idle fleet
+            by_label["service"] = _fold(latencies[t])
+            services = _records(
+                Segment, repeat("service"), repeat(""), repeat(0.0), latencies[t]
+            )
+            requests.extend(_records(
+                RequestAttribution, repeat(name), count(), starts[t], latencies[t],
+                queues[t], repeat(False), repeat(0.0), repeat(0.0),
+                map(list, zip(services)),
             ))
-            rollup.requests += 1
+            rollups.append(rollup)
+            continue
+        for index, (start_ms, latency_ms, queue_ms) in enumerate(
+            zip(starts[t], latencies[t], queues[t])
+        ):
+            found = final.get(start_ms)
+            if found is None:
+                by_label["service"] += latency_ms
+                requests.append(RequestAttribution(
+                    name, index, start_ms, latency_ms, queue_ms, False, 0.0, 0.0,
+                    [Segment("service", "", 0.0, latency_ms)],
+                ))
+                continue
+            gate_wait, contended = found
+            segments = _tile_request(
+                latency_ms, gate_wait, spans_by_release.get(start_ms, [])
+            )
+            requests.append(RequestAttribution(
+                name, index, start_ms, latency_ms, queue_ms, contended, gate_wait,
+                wait_by_release.get(start_ms, 0.0), segments,
+            ))
             rollup.contended_requests += 1 if contended else 0
-            rollup.queue_ms += queue_ms
-            rollup.latency_ms += latency_ms
-            rollup_by_label = rollup.by_label
             for seg in segments:
                 dur = seg.end_ms - seg.start_ms
-                rollup_by_label[seg.label] += dur
+                by_label[seg.label] += dur
                 if seg.lane:
                     lanes[seg.lane].critical_ms += dur
         rollups.append(rollup)
@@ -649,9 +695,27 @@ def analyze_events(events: Iterable[TraceEvent]) -> AnalysisReport:
     return AnalysisReport(requests, rollups, ranked, truncated_attempts)
 
 
+def _attribute_tracer(tracer: Tracer) -> AnalysisReport:
+    table = tracer._table()
+    return _attribute(table, table.canonical_order())
+
+
+def analyze_events(events: Iterable[TraceEvent]) -> AnalysisReport:
+    """Attribute one serving run's canonical event stream.
+
+    ``events`` must be a full run's trace in canonical order — pass a
+    :class:`Tracer` to :func:`analyze_trace` or a Chrome export to
+    :func:`analyze_chrome` rather than calling this directly.  The records
+    are transposed into the columns a :class:`Tracer` keeps and read in
+    the order given, so both take the same attribution path.
+    """
+    table = _TraceTable(list(events), ())
+    return _attribute(table, np.arange(len(table.records)))
+
+
 def analyze_trace(tracer: Tracer) -> AnalysisReport:
     """Attribute a live :class:`Tracer`'s run (canonical event order)."""
-    return analyze_events(tracer.sorted_events())
+    return _attribute_tracer(tracer)
 
 
 def analyze_chrome(data: Dict) -> AnalysisReport:
@@ -678,7 +742,7 @@ def analyze_serving(report, tracer: Optional[Tracer] = None) -> AnalysisReport:
     if tracer is None:
         tracer = Tracer()
         tracer.defer_report(report)
-    analysis = analyze_events(tracer.sorted_events())
+    analysis = _attribute_tracer(tracer)
     for tenant in report.tenants:
         if tenant.num_completed == 0 and all(
             t.name != tenant.name for t in analysis.tenants

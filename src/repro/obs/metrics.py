@@ -22,8 +22,9 @@ sibling for scrape-style consumption.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Default fixed buckets for millisecond latency histograms (upper bounds).
 DEFAULT_LATENCY_BUCKETS_MS: Tuple[float, ...] = (
@@ -134,26 +135,27 @@ class Histogram:
     def observe_many(self, values: Sequence[float], **labels: str) -> None:
         """Observe a batch of values — bit-identical to ``observe`` in a loop.
 
-        One label lookup for the whole batch; bucket placement via
-        ``bisect_left`` (first bound ``>= value`` — the same bucket the
-        scalar ``value <= bound`` scan picks) and the sum accumulated by
-        sequential addition in observation order, so the resulting series
-        is byte-identical to per-value ``observe`` calls, just cheaper.
+        One label lookup for the whole batch; bucket placement of every
+        value at once via ``np.searchsorted`` (first bound ``>= value`` —
+        the bucket the scalar ``value <= bound`` scan picks, and +Inf for a
+        NaN as there) and the sum accumulated by sequential addition in
+        observation order, so the resulting series is byte-identical to
+        per-value ``observe`` calls, just cheaper.
         """
-        tolist = getattr(values, "tolist", None)
-        values = tolist() if tolist is not None else [float(v) for v in values]
-        if not values:
+        values = np.asarray(values, dtype=float)
+        if not values.size:
             return
         key = _label_key(self.label_names, labels)
         entry = self.series.get(key)
         if entry is None:
             entry = ([0] * (len(self.buckets) + 1), 0.0, 0)
         counts, total, n = entry
-        buckets = self.buckets
-        for value in values:
-            counts[bisect_left(buckets, value)] += 1
+        placed = np.bincount(np.searchsorted(self.buckets, values), minlength=len(counts))
+        for bucket, count in enumerate(placed.tolist()):
+            counts[bucket] += count
+        for value in values.tolist():
             total += value
-        self.series[key] = (counts, total, n + len(values))
+        self.series[key] = (counts, total, n + values.size)
 
     def _order_statistic(self, counts: List[int], rank: int) -> float:
         """The ``rank``-th (0-based) observation, reconstructed from buckets.

@@ -34,9 +34,10 @@ function of the churn trace, or the parity contract would tear.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, record_serving_report
 
@@ -241,28 +242,37 @@ class AlertTimeline:
 
 
 class _MissStream:
-    """One tenant's effective-miss events as bisectable prefix sums."""
+    """One tenant's effective-miss events: sorted times, bad-count prefix sums.
+
+    ``samples`` holds ``(t_s, bad)`` pairs in any order: a sequence of pairs
+    or an ``(n, 2)`` array.
+    """
 
     __slots__ = ("times", "bad_prefix", "target")
 
-    def __init__(self, samples: List[Tuple[float, int]], target: float) -> None:
-        samples.sort()
-        self.times = [t for t, _ in samples]
-        prefix = [0]
-        for _, bad in samples:
-            prefix.append(prefix[-1] + bad)
-        self.bad_prefix = prefix
+    def __init__(self, samples, target: float) -> None:
+        pairs = np.asarray(samples, dtype=float).reshape(-1, 2)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # (t_s, bad) tuple order
+        self.times = pairs[order, 0]
+        self.bad_prefix = np.concatenate(([0], np.cumsum(pairs[order, 1].astype(np.int64))))
         self.target = target
 
     def burn(self, t_s: float, window_s: float) -> float:
         """Burn rate of the trailing window ``(t_s - window_s, t_s]``."""
-        hi = bisect_right(self.times, t_s)
-        lo = bisect_right(self.times, t_s - window_s)
+        return self.burns(np.array([t_s]), window_s).item()
+
+    def burns(self, ticks: np.ndarray, window_s: float) -> np.ndarray:
+        """Burn rate of the trailing window ``(t - window_s, t]`` at each tick.
+
+        Integer ``bad``/``total`` counts, then ``(bad / total) / target`` in
+        float64 — the scalar division's bits; 0.0 for an empty window.
+        """
+        hi = np.searchsorted(self.times, ticks, side="right")
+        lo = np.searchsorted(self.times, ticks - window_s, side="right")
         total = hi - lo
-        if total == 0:
-            return 0.0
-        bad = self.bad_prefix[hi] - self.bad_prefix[lo]
-        return (bad / total) / self.target
+        rate = np.zeros(len(ticks))
+        np.divide(self.bad_prefix[hi] - self.bad_prefix[lo], total, out=rate, where=total > 0)
+        return rate / self.target
 
 
 class SLOMonitor:
@@ -316,21 +326,21 @@ class SLOMonitor:
             if tenant.slo is None:
                 continue
             target = tenant.slo.target_miss_rate or self.default_target
-            samples: List[Tuple[float, int]] = []
-            for t_s, missed in zip(
-                tenant.completion_s.tolist(), tenant.deadline_missed.tolist()
-            ):
-                samples.append((t_s, 1 if missed else 0))
-            for times in (
-                tenant.denied_times_s,
-                tenant.abandoned_times_s,
-                tenant.shed_times_s,
-            ):
-                samples.extend((float(t_s), 1) for t_s in times)
-            if not samples:
+            failures = [
+                np.asarray(times, dtype=float)
+                for times in (
+                    tenant.denied_times_s,
+                    tenant.abandoned_times_s,
+                    tenant.shed_times_s,
+                )
+            ]
+            times = np.concatenate([np.asarray(tenant.completion_s, dtype=float)] + failures)
+            if not times.size:
                 continue
-            streams[tenant.name] = _MissStream(samples, target)
-            end_s = max(end_s, streams[tenant.name].times[-1])
+            bad = np.ones(times.size)
+            bad[: tenant.completion_s.size] = np.asarray(tenant.deadline_missed, dtype=bool)
+            streams[tenant.name] = _MissStream(np.column_stack((times, bad)), target)
+            end_s = max(end_s, streams[tenant.name].times[-1].item())
         return streams, end_s
 
     def evaluate(self, report, tracer=None) -> AlertTimeline:
@@ -342,38 +352,40 @@ class SLOMonitor:
         streams, end_s = self._streams(report)
         start_s = report.start_s
         events: List[AlertEvent] = []
-        firing: Dict[Tuple[str, str], bool] = {}
 
         num_ticks = (
             int(math.ceil((end_s - start_s) / self.tick_s)) if end_s > start_s else 0
         )
-        for k in range(1, num_ticks + 1):
-            t_s = start_s + k * self.tick_s
-            for name in sorted(streams):
-                stream = streams[name]
-                scope = f"tenant:{name}"
-                for rule in self.rules:
-                    fast = stream.burn(t_s, rule.fast_window_s)
-                    slow = stream.burn(t_s, rule.slow_window_s)
-                    key = (scope, rule.name)
-                    if not firing.get(key):
-                        if fast >= rule.threshold and slow >= rule.threshold:
-                            firing[key] = True
+        ticks = start_s + np.arange(1, num_ticks + 1) * self.tick_s
+        tick_list = ticks.tolist()
+        for name, stream in streams.items():
+            scope = f"tenant:{name}"
+            for rule in self.rules:
+                fast = stream.burns(ticks, rule.fast_window_s)
+                slow = stream.burns(ticks, rule.slow_window_s)
+                if not np.any((fast >= rule.threshold) & (slow >= rule.threshold)):
+                    continue  # never fires, so never resolves
+                firing = False
+                for t_s, fast_burn, slow_burn in zip(tick_list, fast.tolist(), slow.tolist()):
+                    if not firing:
+                        if fast_burn >= rule.threshold and slow_burn >= rule.threshold:
+                            firing = True
                             events.append(
                                 AlertEvent(
                                     t_s, scope, rule.name, rule.severity,
-                                    "firing", fast, slow,
+                                    "firing", fast_burn, slow_burn,
                                 )
                             )
-                    elif fast < rule.threshold:
-                        firing[key] = False
+                    elif fast_burn < rule.threshold:
+                        firing = False
                         events.append(
                             AlertEvent(
                                 t_s, scope, rule.name, rule.severity,
-                                "resolved", fast, slow,
+                                "resolved", fast_burn, slow_burn,
                             )
                         )
 
+        firing: Dict[Tuple[str, str], bool] = {}
         # Fleet pressure over the windowed load series: the mean compute
         # utilization of each window, evaluated at the window's right edge.
         series = report.fleet.series if report.fleet is not None else None
@@ -438,7 +450,7 @@ class SLOMonitor:
                     tenant.slo.target_miss_rate or self.default_target
                 ),
                 "served": len(stream.times) if stream is not None else 0,
-                "bad": stream.bad_prefix[-1] if stream is not None else 0,
+                "bad": int(stream.bad_prefix[-1]) if stream is not None else 0,
                 "p95_ms": None,
                 "p99_ms": None,
             }

@@ -9,13 +9,18 @@ the design center:
   matters: a loop that derives events after the fact and a loop that emits
   them live produce the same stream.
 * Most of the request lifecycle is not emitted by the event loops at all —
-  it is **derived** from the committed :class:`ServingReport` by
-  :func:`trace_serving_report`, a pure function.  Since every fast path is
-  already bit-identical to the reference loop at the report level, the
-  derived events are bit-identical too, for free.  Only facts that do not
-  survive into the report (contended per-lane segments, requeues, retry
-  chains, the fault timeline, control-plane decisions) are emitted live —
-  and only from code paths shared by every mode.
+  it is **derived** from the committed :class:`ServingReport`, a pure
+  function of it.  Since every fast path is already bit-identical to the
+  reference loop at the report level, the derived events are bit-identical
+  too, for free.  Only facts that do not survive into the report
+  (contended per-lane segments, requeues, retry chains, the fault
+  timeline, control-plane decisions) are emitted live — and only from code
+  paths shared by every mode.
+* Derived events are held as the report's own columns, not as records:
+  one ``np.lexsort`` orders derived and live rows together, and the Chrome
+  export and the latency attribution read the sorted columns.  They
+  become :class:`TraceEvent` records only when asked for
+  (:attr:`Tracer.events`, :meth:`Tracer.sorted_events`).
 * The canonical byte serialisation (:meth:`Tracer.lines`) uses ``repr()``
   for floats, so two traces compare equal exactly when every float is the
   same bits — the trace-level parity contract ``run_with_parity`` asserts.
@@ -29,7 +34,12 @@ span taxonomy and a worked Perfetto session.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Tuple
+from bisect import bisect_right
+from itertools import count, repeat
+from operator import itemgetter, methodcaller
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 #: Track-name prefixes -> Chrome process ids (one pid per track family, so
 #: Perfetto groups tenant tracks, lane tracks and control tracks separately).
@@ -48,8 +58,7 @@ class TraceEvent(NamedTuple):
     pairs — a hashable, deterministic stand-in for a dict.
 
     The field order *is* the canonical sort key, so plain tuple ordering
-    sorts a trace canonically — and tuple construction keeps the derived
-    fast path in :func:`trace_serving_report` cheap.
+    sorts a trace canonically.
     """
 
     ts_ms: float
@@ -74,15 +83,182 @@ class TraceEvent(NamedTuple):
         return " ".join(parts)
 
 
+class _Block(NamedTuple):
+    """Derived lifecycle rows of one ``(track, kind, name)`` stream, as columns.
+
+    ``ts_ms`` and ``dur_ms`` are per-row arrays (zeros for instants);
+    ``args`` pairs each arg key, in key order, with its per-row values.
+    """
+
+    track: str
+    kind: str
+    name: str
+    ts_ms: np.ndarray
+    dur_ms: np.ndarray
+    args: Tuple[Tuple[str, np.ndarray], ...] = ()
+
+    def arg_rows(self) -> Iterator[tuple]:
+        """Each row's args as the ``(key, value)`` pairs a TraceEvent holds."""
+        if not self.args:
+            return repeat((), len(self.ts_ms))
+        return zip(*(zip(repeat(key), values.tolist()) for key, values in self.args))
+
+    def events(self) -> Iterator[TraceEvent]:
+        """The rows as :class:`TraceEvent` records, in row order."""
+        return map(
+            TraceEvent._make,
+            zip(
+                self.ts_ms.tolist(), repeat(self.track), repeat(self.kind),
+                repeat(self.name), self.dur_ms.tolist(), self.arg_rows(),
+            ),
+        )
+
+
+class _TraceTable:
+    """A trace's rows as columns, plus their canonical order.
+
+    Rows ``[0, len(records))`` are :class:`TraceEvent` records (live
+    emission, or an imported export); the derived blocks' rows follow in
+    block order.  Every row belongs to one ``(track, kind, name)`` stream.
+    """
+
+    def __init__(self, records: List[TraceEvent], blocks: Sequence[_Block]) -> None:
+        self.records = records
+        self.blocks = blocks
+        lengths = [len(block.ts_ms) for block in blocks]
+        bounds = np.cumsum([len(records)] + lengths)
+        self.block_starts: List[int] = bounds[:-1].tolist()
+        # Label each row's stream by the stream's first row, in C-level
+        # passes that keep no object per row alive (each live object per
+        # event is more work for the garbage collector).
+        first: Dict[Tuple[str, str, str], int] = {}
+        labels = np.fromiter(
+            map(first.setdefault, map(itemgetter(1, 2, 3), records), count()),
+            np.intp, len(records),
+        )
+        block_labels = [
+            first.setdefault((block.track, block.kind, block.name), start)
+            for block, start in zip(blocks, self.block_starts)
+        ]
+        #: Stream id -> ``(track, kind, name)``, in order of first row.
+        self.streams: List[Tuple[str, str, str]] = list(first)
+        dense = np.zeros(bounds[-1], dtype=np.intp)
+        dense[list(first.values())] = np.arange(len(first))
+        block_rows = np.repeat(np.array(block_labels, dtype=np.intp), lengths)
+        self.stream = dense[np.concatenate([labels, block_rows])]
+        self.ts = np.concatenate(
+            [np.fromiter(map(itemgetter(0), records), float, len(records))]
+            + [block.ts_ms for block in blocks]
+        )
+        self.dur = np.concatenate(
+            [np.fromiter(map(itemgetter(4), records), float, len(records))]
+            + [block.dur_ms for block in blocks]
+        )
+
+    def event(self, row: int) -> TraceEvent:
+        """Row ``row`` as a :class:`TraceEvent`."""
+        if row < len(self.records):
+            return self.records[row]
+        b = bisect_right(self.block_starts, row) - 1
+        block, i = self.blocks[b], row - self.block_starts[b]
+        return TraceEvent(
+            block.ts_ms[i].item(), block.track, block.kind, block.name,
+            block.dur_ms[i].item(),
+            tuple((key, values[i].item()) for key, values in block.args),
+        )
+
+    def events(self) -> List[TraceEvent]:
+        """Every row as a :class:`TraceEvent`, in row order."""
+        rows = list(self.records)
+        for block in self.blocks:
+            rows.extend(block.events())
+        return rows
+
+    def canonical_order(self) -> np.ndarray:
+        """Row ids in canonical order, the key ``(ts, track, kind, name, dur, args)``.
+
+        One ``np.lexsort`` over ``(ts, stream rank, dur)``: a stream's rank
+        is the position of its ``(track, kind, name)`` in sorted order, so
+        it sorts exactly as the three strings do.  Rows tied on all of
+        those are re-sorted by Python tuple comparison of the full events,
+        which decides on ``args``; both sorts are stable, so equal events
+        keep row order — the order ``sorted()`` over the rows would give.
+        """
+        num_streams = len(self.streams)
+        rank = np.empty(num_streams, dtype=np.intp)
+        rank[sorted(range(num_streams), key=self.streams.__getitem__)] = np.arange(num_streams)
+        stream_rank = rank[self.stream]
+        order = np.lexsort((self.dur, stream_rank, self.ts))
+        ts, sr, dur = self.ts[order], stream_rank[order], self.dur[order]
+        # Position p ties with p + 1; consecutive p chain into one run.
+        tied = np.flatnonzero((ts[1:] == ts[:-1]) & (sr[1:] == sr[:-1]) & (dur[1:] == dur[:-1]))
+        if tied.size:
+            breaks = np.diff(tied) != 1
+            firsts = tied[np.r_[True, breaks]].tolist()
+            lasts = (tied[np.r_[breaks, True]] + 2).tolist()
+            for first, last in zip(firsts, lasts):
+                rows = order[first:last]
+                events = [self.event(row) for row in rows.tolist()]
+                order[first:last] = rows[sorted(range(len(events)), key=events.__getitem__)]
+        return order
+
+    def rows_by_stream(self, order: np.ndarray) -> List[np.ndarray]:
+        """Per stream id, its rows in the sequence ``order`` lists them."""
+        streams = self.stream[order]
+        grouped = order[np.argsort(streams, kind="stable")]
+        counts = np.bincount(streams, minlength=len(self.streams))
+        return np.split(grouped, np.cumsum(counts)[:-1])
+
+    def arg_column(self, rows: np.ndarray, key: str) -> list:
+        """Arg ``key`` of each of ``rows``, :data:`_MISSING` where a row lacks it."""
+        values = np.full(len(rows), _MISSING, dtype=object)
+        is_record = rows < len(self.records)
+        if is_record.any():
+            args = map(itemgetter(5), map(self.records.__getitem__, rows[is_record].tolist()))
+            values[is_record] = _arg_values(list(args), key)
+        at = np.flatnonzero(~is_record)
+        block_of = np.searchsorted(self.block_starts, rows[at], side="right") - 1
+        for b in np.unique(block_of).tolist():
+            column = dict(self.blocks[b].args).get(key)
+            if column is not None:
+                sel = at[block_of == b]
+                values[sel] = column[rows[sel] - self.block_starts[b]]
+        return values.tolist()
+
+
+#: Marks an arg a row does not carry.
+_MISSING = object()
+
+
+def _arg_values(args: List[tuple], key: str) -> list:
+    """``dict(pairs).get(key, _MISSING)`` for each args tuple in ``args``.
+
+    Fast path: the rows of one stream usually share their key layout, so
+    when ``key`` sits at the same position in every tuple the values are
+    read positionally, without a dict per row.
+    """
+    position = next((j for j, (k, _) in enumerate(args[0]) if k == key), None) if args else None
+    if position is not None:
+        try:
+            pairs = list(map(itemgetter(position), args))
+        except IndexError:
+            pairs = None
+        if pairs is not None and set(map(itemgetter(0), pairs)) == {key}:
+            return list(map(itemgetter(1), pairs))
+    return list(map(methodcaller("get", key, _MISSING), map(dict, args)))
+
+
 class Tracer:
     """Collects trace events; canonical order and export at read time.
 
-    Request-lifecycle derivation is **deferred**: the simulator hands the
-    committed report to :meth:`defer_report` (O(1) inside the timed run) and
-    the derived events materialise on first read of :attr:`events` — so a
-    traced run pays only live emission plus a pointer, the property the
-    ``bench-obs`` CI leg gates.  Because the canonical views sort, deferral
-    cannot change any observable byte.
+    Live emission appends :class:`TraceEvent` records.  The request
+    lifecycle is **deferred**: the simulator hands the committed report to
+    :meth:`defer_report` (O(1) inside the timed run), and on first read its
+    per-tenant arrays become column blocks (:func:`_lifecycle_blocks`) that
+    the canonical views sort and export without building an event per row.
+    They materialise as :class:`TraceEvent` records only when asked — by
+    :attr:`events`, :meth:`sorted_events` or :meth:`lines`.  Because the
+    canonical views sort, deferral cannot change any observable byte.
     """
 
     enabled = True
@@ -90,14 +266,27 @@ class Tracer:
     def __init__(self) -> None:
         self._events: List[TraceEvent] = []
         self._pending_reports: List[object] = []
+        self._blocks: List[_Block] = []
 
-    @property
-    def events(self) -> List[TraceEvent]:
-        """All events (derives any deferred reports first)."""
+    def _lifecycle(self) -> List[_Block]:
+        """Column blocks of every deferred report (each report converted once)."""
         if self._pending_reports:
             pending, self._pending_reports = self._pending_reports, []
             for report in pending:
-                _derive_report(self._events, report)
+                self._blocks.extend(_lifecycle_blocks(report))
+        return self._blocks
+
+    def _table(self) -> _TraceTable:
+        return _TraceTable(self._events, self._lifecycle())
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """All events as records (materialises any derived lifecycle first)."""
+        blocks = self._lifecycle()
+        if blocks:
+            self._blocks = []
+            for block in blocks:
+                self._events.extend(block.events())
         return self._events
 
     # ------------------------------------------------------------------ #
@@ -146,10 +335,12 @@ class Tracer:
     def sorted_events(self) -> List[TraceEvent]:
         """Events in canonical order — independent of emission order.
 
-        ``TraceEvent`` field order matches the canonical key
-        ``(ts, track, kind, name, dur, args)``, so plain tuple sort is it.
+        The order is plain tuple order of :class:`TraceEvent` (field order
+        is the key ``(ts, track, kind, name, dur, args)``), computed over
+        the columns by :meth:`_TraceTable.canonical_order`.
         """
-        return sorted(self.events)
+        table = self._table()
+        return list(map(table.events().__getitem__, table.canonical_order().tolist()))
 
     def lines(self) -> List[str]:
         """Canonical byte serialisation, one line per event.
@@ -163,21 +354,6 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Chrome trace-event export
     # ------------------------------------------------------------------ #
-    def _track_layout(self) -> Dict[str, Tuple[int, int]]:
-        """Stable ``track -> (pid, tid)`` assignment (sorted track names)."""
-        layout: Dict[str, Tuple[int, int]] = {}
-        counters: Dict[int, int] = {}
-        for track in sorted({event.track for event in self.events}):
-            pid = _CONTROL_PID[0]
-            for prefix, family_pid, _ in _TRACK_PIDS:
-                if track.startswith(prefix):
-                    pid = family_pid
-                    break
-            tid = counters.get(pid, 0) + 1
-            counters[pid] = tid
-            layout[track] = (pid, tid)
-        return layout
-
     def to_chrome(self, provenance: Dict = None) -> Dict:
         """The trace as a Chrome trace-event JSON object (Perfetto-loadable).
 
@@ -190,7 +366,8 @@ class Tracer:
         Perfetto ignores keys it does not know, and
         :func:`events_from_chrome` skips it on re-import.
         """
-        layout = self._track_layout()
+        table = self._table()
+        layout = _track_layout({track for track, _, _ in table.streams})
         trace_events: List[Dict] = []
         named_pids = {pid: name for _, pid, name in _TRACK_PIDS}
         named_pids[_CONTROL_PID[0]] = _CONTROL_PID[1]
@@ -215,23 +392,19 @@ class Tracer:
                     "args": {"name": track},
                 }
             )
-        for event in self.sorted_events():
-            pid, tid = layout[event.track]
-            record: Dict = {
-                "name": event.name,
-                "cat": event.kind,
-                "ts": event.ts_ms * 1000.0,
-                "pid": pid,
-                "tid": tid,
-                "args": {key: value for key, value in event.args},
-            }
-            if event.dur_ms > 0.0:
-                record["ph"] = "X"
-                record["dur"] = event.dur_ms * 1000.0
-            else:
-                record["ph"] = "i"
-                record["s"] = "t"
-            trace_events.append(record)
+        records = table.records
+        rows = _chrome_rows(
+            map(itemgetter(3), records), map(itemgetter(2), records),
+            table.ts[: len(records)], table.dur[: len(records)],
+            map(layout.__getitem__, map(itemgetter(1), records)),
+            map(dict, map(itemgetter(5), records)),
+        )
+        for block in table.blocks:
+            rows += _chrome_rows(
+                repeat(block.name), repeat(block.kind), block.ts_ms, block.dur_ms,
+                repeat(layout[block.track]), map(dict, block.arg_rows()),
+            )
+        trace_events.extend(map(rows.__getitem__, table.canonical_order().tolist()))
         chrome: Dict = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
         if provenance is not None:
             chrome["provenance"] = provenance
@@ -244,6 +417,35 @@ class Tracer:
         Path(path).write_text(
             json.dumps(self.to_chrome(provenance=provenance), indent=2) + "\n"
         )
+
+
+def _track_layout(tracks) -> Dict[str, Tuple[int, int]]:
+    """Stable ``track -> (pid, tid)`` assignment (sorted track names)."""
+    layout: Dict[str, Tuple[int, int]] = {}
+    counters: Dict[int, int] = {}
+    for track in sorted(tracks):
+        pid = _CONTROL_PID[0]
+        for prefix, family_pid, _ in _TRACK_PIDS:
+            if track.startswith(prefix):
+                pid = family_pid
+                break
+        tid = counters.get(pid, 0) + 1
+        counters[pid] = tid
+        layout[track] = (pid, tid)
+    return layout
+
+
+def _chrome_rows(names, cats, ts_ms, dur_ms, places, args) -> List[Dict]:
+    """Chrome records for rows given as columns (``ts_ms``/``dur_ms`` arrays,
+    ``places`` the ``(pid, tid)`` of each row's track)."""
+    return [
+        {"name": n, "cat": c, "ts": t, "pid": pid, "tid": tid, "args": a, "ph": "X", "dur": d}
+        if d > 0.0
+        else {"name": n, "cat": c, "ts": t, "pid": pid, "tid": tid, "args": a, "ph": "i", "s": "t"}
+        for n, c, t, d, (pid, tid), a in zip(
+            names, cats, (ts_ms * 1000.0).tolist(), (dur_ms * 1000.0).tolist(), places, args
+        )
+    ]
 
 
 class NullTracer(Tracer):
@@ -269,15 +471,49 @@ NULL_TRACER = NullTracer()
 # the committed-schedule derivation
 # ---------------------------------------------------------------------- #
 
+#: Instants derived from a tenant report's time lists: (kind, name, field).
+_LIFECYCLE_INSTANTS = (
+    ("admission", "reject", "rejected_times_s"),
+    ("admission", "deny", "denied_times_s"),
+    ("fault", "shed", "shed_times_s"),
+    ("fault", "abandon", "abandoned_times_s"),
+    ("control", "replan", "replan_times_s"),
+)
 
-def _tenant_track(name: str) -> str:
-    return f"tenant:{name}"
 
+def _lifecycle_blocks(report) -> List[_Block]:
+    """The request lifecycle of a committed ``ServingReport``, as columns.
 
-def _aslist(values) -> list:
-    """Bulk-convert a numpy array (or any sequence) to Python scalars."""
-    tolist = getattr(values, "tolist", None)
-    return tolist() if tolist is not None else [float(v) for v in values]
+    Per tenant: an ``arrive`` instant and a ``queue`` span (arrival →
+    service start) at arrival, a ``serve`` span (start → completion), a
+    ``complete`` instant, then instants for every rejection, denial, shed
+    arrival, abandoned retry chain and replan.  Times scale to ms with one
+    numpy multiply, the same IEEE operation as the scalar one.
+    """
+    blocks: List[_Block] = []
+    for tenant in report.tenants:
+        track = f"tenant:{tenant.name}"
+        arrive_ms = tenant.arrival_s * 1000.0
+        start_ms = tenant.start_s * 1000.0
+        latency = np.asarray(tenant.latency_ms)
+        zeros = np.zeros(arrive_ms.shape)
+        tenant_blocks = [
+            _Block(track, "request", "arrive", arrive_ms, zeros),
+            _Block(track, "request", "queue", arrive_ms, start_ms - arrive_ms),
+            _Block(track, "request", "serve", start_ms, latency, (("latency_ms", latency),)),
+            _Block(
+                track, "request", "complete", tenant.completion_s * 1000.0, zeros,
+                (
+                    ("deadline_missed", np.asarray(tenant.deadline_missed)),
+                    ("response_ms", np.asarray(tenant.response_ms)),
+                ),
+            ),
+        ]
+        for kind, name, field in _LIFECYCLE_INSTANTS:
+            ts_ms = np.asarray(getattr(tenant, field), dtype=float) * 1000.0
+            tenant_blocks.append(_Block(track, kind, name, ts_ms, np.zeros(ts_ms.shape)))
+        blocks.extend(block for block in tenant_blocks if len(block.ts_ms))
+    return blocks
 
 
 def trace_serving_report(tracer: Tracer, report) -> None:
@@ -292,78 +528,14 @@ def trace_serving_report(tracer: Tracer, report) -> None:
     contract, the derived events are too — no instrumentation of the fast
     paths required.
 
-    This eager form derives immediately; the simulator uses the lazy
-    :meth:`Tracer.defer_report` so the derivation cost lands at first read
-    (export time) instead of inside the timed serving run.
+    This eager form appends the events as records now; the simulator uses
+    the lazy :meth:`Tracer.defer_report`, which keeps them as columns.
     """
     if not tracer.enabled:
         return
-    _derive_report(tracer.events, report)
-
-
-def _derive_report(events: List[TraceEvent], report) -> None:
-    """Append the derived lifecycle events for ``report`` to ``events``.
-
-    Builds events in bulk (``tolist`` conversions, C-level ``map``/``zip``
-    over :meth:`TraceEvent._make`, pre-sorted args tuples) — the derivation
-    runs once per trace read, on up to hundreds of thousands of requests.
-    """
-    from itertools import repeat
-
-    make = TraceEvent._make  # skips the field-by-field constructor
-    extend = events.extend
-    for tenant in report.tenants:
-        track = _tenant_track(tenant.name)
-        # Scale to ms with numpy (same IEEE multiply as the scalar path,
-        # same bits), then fan out to events with C-level map/zip loops.
-        arrive_ms = (tenant.arrival_s * 1000.0).tolist()
-        start_ms = (tenant.start_s * 1000.0).tolist()
-        queue_ms = (tenant.start_s * 1000.0 - tenant.arrival_s * 1000.0).tolist()
-        complete_ms = (tenant.completion_s * 1000.0).tolist()
-        lat = _aslist(tenant.latency_ms)
-        resp = _aslist(tenant.response_ms)
-        miss = _aslist(tenant.deadline_missed)
-        r_track, r_req, r_zero, r_empty = (
-            repeat(track), repeat("request"), repeat(0.0), repeat(()),
-        )
-        extend(
-            map(make, zip(arrive_ms, r_track, r_req, repeat("arrive"), r_zero, r_empty))
-        )
-        extend(
-            map(make, zip(arrive_ms, r_track, r_req, repeat("queue"), queue_ms, r_empty))
-        )
-        extend(
-            map(
-                make,
-                zip(
-                    start_ms, r_track, r_req, repeat("serve"), lat,
-                    [(("latency_ms", value),) for value in lat],
-                ),
-            )
-        )
-        extend(
-            map(
-                make,
-                zip(
-                    complete_ms, r_track, r_req, repeat("complete"), r_zero,
-                    [
-                        (("deadline_missed", m), ("response_ms", r))
-                        for m, r in zip(miss, resp)
-                    ],
-                ),
-            )
-        )
-        for kind, name, times in (
-            ("admission", "reject", tenant.rejected_times_s),
-            ("admission", "deny", tenant.denied_times_s),
-            ("fault", "shed", tenant.shed_times_s),
-            ("fault", "abandon", tenant.abandoned_times_s),
-            ("control", "replan", tenant.replan_times_s),
-        ):
-            extend(
-                TraceEvent(t_s * 1000.0, track, kind, name)
-                for t_s in _aslist(times)
-            )
+    events = tracer.events
+    for block in _lifecycle_blocks(report):
+        events.extend(block.events())
 
 
 # ---------------------------------------------------------------------- #

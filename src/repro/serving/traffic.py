@@ -239,8 +239,8 @@ class DiurnalArrivals(ArrivalProcess):
 class TraceArrivals(ArrivalProcess):
     """Replay of explicit arrival offsets (seconds from the run start).
 
-    Offsets must be non-negative and non-decreasing; arrivals beyond the
-    simulated duration are dropped.
+    Offsets must be finite, non-negative and non-decreasing; arrivals
+    beyond the simulated duration are dropped.
     """
 
     offsets_s: Tuple[float, ...] = field(default=())
@@ -248,6 +248,9 @@ class TraceArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         prev = 0.0
         for t in self.offsets_s:
+            # First, or a NaN would pass both order checks below.
+            if not math.isfinite(t):
+                raise ValueError(f"trace offsets must all be finite, got {t}")
             if t < 0:
                 raise ValueError(f"trace offsets must be >= 0, got {t}")
             if t < prev:
@@ -289,7 +292,7 @@ def parse_traffic_spec(spec: str) -> ArrivalProcess:
                  (5), ``seed`` (0); alias kind: ``bursty``
     ``diurnal``  ``base`` (1), ``peak`` (10), ``period`` (3600), ``seed`` (0)
     ``trace``    ``times`` (required) — ``;``-separated offsets, e.g.
-                 ``times=0.1;0.5;1.2``
+                 ``times=0.1;0.5;1.2``; ``times=`` is the empty replay
     ===========  ===============================================================
 
     Example: ``traffic:mmpp,low=0.5,high=20,dwell_high=3,seed=7``.
@@ -327,13 +330,20 @@ def parse_traffic_spec(spec: str) -> ArrivalProcess:
         )
     if kind == "trace":
         _GRAMMAR.check_keys(options, ("times",), kind)
-        raw = options.get("times", "")
+        if "times" not in options:
+            raise ValueError("traffic:trace requires times=<t0;t1;...> (seconds)")
+        raw = options["times"]
+        if not raw:
+            return TraceArrivals()  # the empty replay, rendered as `times=`
         try:
             offsets = tuple(float(part) for part in raw.split(";") if part.strip())
         except ValueError:
             raise ValueError(f"traffic:trace times={raw!r} contains a non-number") from None
         if not offsets:
-            raise ValueError("traffic:trace requires times=<t0;t1;...> (seconds)")
+            raise ValueError(
+                f"traffic:trace times={raw!r} lists no offsets; it requires "
+                "times=<t0;t1;...> (seconds), or times= for an empty replay"
+            )
         if not all(math.isfinite(t) for t in offsets):
             raise ValueError(f"traffic:trace times={raw!r} must all be finite")
         return TraceArrivals(offsets_s=offsets)

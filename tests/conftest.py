@@ -21,6 +21,7 @@ from repro.devices.specs import make_cluster
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.nn.execution import ModelExecutor
+from repro.obs.trace import TraceEvent
 from repro.runtime.evaluator import PlanEvaluator
 from repro.utils.rng import as_rng, spawn_rng
 
@@ -303,6 +304,229 @@ def reference_ddpg_update():
     losses and samples float for float.
     """
     return _ReferenceDDPG
+
+
+class _ReferenceTrace:
+    """The tuple path the column store replaced, kept as a test oracle.
+
+    ``derive`` fans a committed report out into one :class:`TraceEvent` per
+    lifecycle row; ``lines``/``to_chrome`` sort the events with ``sorted()``
+    and export them one by one; ``analyze`` is the per-event dispatch loop
+    that bucketed a canonical stream before tiling.
+    """
+
+    @staticmethod
+    def derive(report) -> List[TraceEvent]:
+        from itertools import repeat
+
+        events: List[TraceEvent] = []
+        make = TraceEvent._make
+        for tenant in report.tenants:
+            track = f"tenant:{tenant.name}"
+            arrive_ms = (tenant.arrival_s * 1000.0).tolist()
+            start_ms = (tenant.start_s * 1000.0).tolist()
+            queue_ms = (tenant.start_s * 1000.0 - tenant.arrival_s * 1000.0).tolist()
+            complete_ms = (tenant.completion_s * 1000.0).tolist()
+            lat = tenant.latency_ms.tolist()
+            resp = tenant.response_ms.tolist()
+            miss = tenant.deadline_missed.tolist()
+            empty = repeat(())
+            events.extend(map(make, zip(arrive_ms, repeat(track), repeat("request"),
+                                        repeat("arrive"), repeat(0.0), empty)))
+            events.extend(map(make, zip(arrive_ms, repeat(track), repeat("request"),
+                                        repeat("queue"), queue_ms, empty)))
+            events.extend(map(make, zip(start_ms, repeat(track), repeat("request"),
+                                        repeat("serve"), lat,
+                                        [(("latency_ms", v),) for v in lat])))
+            events.extend(map(make, zip(complete_ms, repeat(track), repeat("request"),
+                                        repeat("complete"), repeat(0.0),
+                                        [(("deadline_missed", m), ("response_ms", r))
+                                         for m, r in zip(miss, resp)])))
+            for kind, name, times in (
+                ("admission", "reject", tenant.rejected_times_s),
+                ("admission", "deny", tenant.denied_times_s),
+                ("fault", "shed", tenant.shed_times_s),
+                ("fault", "abandon", tenant.abandoned_times_s),
+                ("control", "replan", tenant.replan_times_s),
+            ):
+                events.extend(TraceEvent(float(t) * 1000.0, track, kind, name) for t in times)
+        return events
+
+    @staticmethod
+    def lines(events) -> List[str]:
+        return [event.to_line() for event in sorted(events)]
+
+    @staticmethod
+    def to_chrome(events) -> dict:
+        pids = {"tenant:": 1, "lane:": 2}
+        layout, counters = {}, {}
+        for track in sorted({event.track for event in events}):
+            pid = next((p for prefix, p in pids.items() if track.startswith(prefix)), 3)
+            counters[pid] = counters.get(pid, 0) + 1
+            layout[track] = (pid, counters[pid])
+        names = {1: "tenants", 2: "device lanes", 3: "fleet & control plane"}
+        records = [
+            {"ph": "M", "name": "process_name", "pid": pid, "tid": 0, "args": {"name": names[pid]}}
+            for pid in sorted({pid for pid, _ in layout.values()})
+        ]
+        records += [
+            {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid, "args": {"name": track}}
+            for track, (pid, tid) in layout.items()
+        ]
+        for event in sorted(events):
+            pid, tid = layout[event.track]
+            record = {
+                "name": event.name, "cat": event.kind, "ts": event.ts_ms * 1000.0,
+                "pid": pid, "tid": tid, "args": {key: value for key, value in event.args},
+            }
+            if event.dur_ms > 0.0:
+                record["ph"] = "X"
+                record["dur"] = event.dur_ms * 1000.0
+            else:
+                record["ph"] = "i"
+                record["s"] = "t"
+            records.append(record)
+        return {"traceEvents": records, "displayTimeUnit": "ms"}
+
+    @staticmethod
+    def analyze(events):
+        """The per-event loop over a canonical stream (``analyze_events``)."""
+        from bisect import bisect_right
+
+        from repro.obs.analysis import (
+            AnalysisError,
+            AnalysisReport,
+            LaneAttribution,
+            RequestAttribution,
+            Segment,
+            TenantAttribution,
+            _tile_request,
+        )
+
+        tenants = {}
+
+        def entry_of(name):
+            if name not in tenants:
+                tenants[name] = {"serve": [], "queue": [], "dispatches": [], "final": {},
+                                 "spans": [], "rollup": TenantAttribution(name)}
+            return tenants[name]
+
+        for ts_ms, track, kind, name, dur_ms, raw_args in events:
+            args = dict(raw_args)
+            if kind == "lane":
+                entry_of(str(args.get("tenant", "")))["spans"].append((ts_ms, track, dur_ms, raw_args))
+                continue
+            if not track.startswith("tenant:"):
+                continue
+            entry = entry_of(track[len("tenant:"):])
+            rollup = entry["rollup"]
+            if kind == "request":
+                if name == "serve":
+                    entry["serve"].append((ts_ms, float(args.get("latency_ms", dur_ms))))
+                elif name == "queue":
+                    entry["queue"].append(dur_ms)
+                elif name == "dispatch":
+                    latency = float(args.get("latency_ms", 0.0))
+                    truncated = bool(args.get("truncated", False))
+                    entry["dispatches"].append((ts_ms, latency, truncated))
+                    if truncated:
+                        rollup.lost_attempt_ms += latency
+                    else:
+                        entry["final"][ts_ms] = (
+                            float(args.get("gate_wait_ms", 0.0)), bool(args.get("contended", False))
+                        )
+                elif name == "complete":
+                    if "response_ms" in args:
+                        rollup.response_ms += float(args["response_ms"])
+                    if args.get("deadline_missed"):
+                        rollup.misses += 1
+            elif (kind, name) in (("admission", "reject"), ("admission", "deny"),
+                                  ("admission", "requeue"), ("fault", "shed"),
+                                  ("fault", "abandon"), ("control", "replan")):
+                field = {"reject": "rejects", "deny": "denies", "requeue": "requeues",
+                         "shed": "sheds", "abandon": "abandons", "replan": "replans"}[name]
+                setattr(rollup, field, getattr(rollup, field) + 1)
+            elif kind == "fault" and name == "retry":
+                rollup.retries += 1
+                rollup.retry_backoff_ms += float(args.get("delay_ms", 0.0))
+                rollup.lost_attempts += 1
+            elif kind == "fault" and name == "retry_chain":
+                rollup.retries += max(int(args.get("attempts", 1)) - 1, 0)
+                rollup.retry_backoff_ms += float(args.get("retry_added_ms", 0.0))
+                rollup.lost_attempts += int(args.get("lost_attempts", 0))
+
+        requests, rollups, lanes, truncated_attempts = [], [], {}, 0
+        for name in sorted(tenants):
+            entry = tenants[name]
+            rollup = entry["rollup"]
+            if len(entry["queue"]) != len(entry["serve"]):
+                raise AnalysisError(f"tenant {name!r}: queue and serve spans differ")
+            entry["dispatches"].sort()
+            releases = [release for release, _, _ in entry["dispatches"]]
+            spans_by_release, wait_by_release = {}, {}
+            for span_ts, span_track, span_dur, span_args in entry["spans"]:
+                args = dict(span_args)
+                lane = lanes.setdefault(span_track, LaneAttribution(span_track))
+                wait_ms = float(args.get("wait_ms", 0.0))
+                lane.busy_ms += span_dur
+                lane.wait_ms += wait_ms
+                lane.jobs += int(args.get("jobs", 0))
+                lane.spans += 1
+                rollup.lane_wait_ms += wait_ms
+                if not releases:
+                    continue
+                release, _, truncated = entry["dispatches"][max(bisect_right(releases, span_ts) - 1, 0)]
+                if truncated:
+                    continue
+                spans_by_release.setdefault(release, []).append(
+                    (span_ts - release, span_ts - release + span_dur, span_track)
+                )
+                wait_by_release[release] = wait_by_release.get(release, 0.0) + wait_ms
+            truncated_here = sum(1 for _, _, t in entry["dispatches"] if t)
+            truncated_attempts += truncated_here
+            rollup.lost_attempts += truncated_here
+            for index, ((start_ms, latency_ms), queue_ms) in enumerate(zip(entry["serve"], entry["queue"])):
+                final = entry["final"].get(start_ms)
+                if final is None:
+                    segments = [Segment("service", "", 0.0, latency_ms)]
+                    contended, gate_wait, lane_wait = False, 0.0, 0.0
+                else:
+                    gate_wait, contended = final
+                    segments = _tile_request(latency_ms, gate_wait, spans_by_release.get(start_ms, []))
+                    lane_wait = wait_by_release.get(start_ms, 0.0)
+                requests.append(RequestAttribution(
+                    name, index, start_ms, latency_ms, queue_ms, contended, gate_wait, lane_wait, segments
+                ))
+                rollup.requests += 1
+                rollup.contended_requests += 1 if contended else 0
+                rollup.queue_ms += queue_ms
+                rollup.latency_ms += latency_ms
+                for seg in segments:
+                    dur = seg.end_ms - seg.start_ms
+                    rollup.by_label[seg.label] += dur
+                    if seg.lane:
+                        lanes[seg.lane].critical_ms += dur
+            rollups.append(rollup)
+        ranked = sorted(lanes.values(), key=lambda lane: (-lane.critical_ms, lane.lane))
+        total_critical = 0.0
+        for lane in ranked:
+            total_critical += lane.critical_ms
+        if total_critical > 0.0:
+            for lane in ranked:
+                lane.share = lane.critical_ms / total_critical
+        return AnalysisReport(requests, rollups, ranked, truncated_attempts)
+
+
+@pytest.fixture(scope="session")
+def reference_trace():
+    """Reference of the column trace store: the tuple path it replaced.
+
+    ``derive(report)`` is the old per-row fan-out, ``lines``/``to_chrome``
+    the old sorted-tuple views and ``analyze`` the old per-event attribution
+    loop.  Fed the same live events and report, the :class:`Tracer` views
+    and :func:`analyze_serving` must reproduce them byte for byte.
+    """
+    return _ReferenceTrace
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.scenarios import (
+    MAX_GENERATED_DEVICES,
     TYPE_POOLS,
     ScenarioCatalog,
     ScenarioRegistry,
@@ -177,6 +178,12 @@ class TestGeneratorSpecGrammar:
             parse_generator_spec("gen:n=4,bw=inf")
         with pytest.raises(ValueError, match="more than once"):
             parse_generator_spec("gen:n=4,n=5")
+
+    def test_fleet_size_is_bounded_before_allocating(self):
+        """Regression: `gen:n=1000000000000` died in numpy's allocator."""
+        assert generate_scenario(MAX_GENERATED_DEVICES, seed=0).num_devices == MAX_GENERATED_DEVICES
+        with pytest.raises(ValueError, match=f"generator option n must be <= {MAX_GENERATED_DEVICES}"):
+            parse_generator_spec("gen:n=1000000000000")
 
     def test_unknown_trace_kind_rejected(self):
         """Regression: the trace kind is checked when the spec is parsed,

@@ -164,6 +164,23 @@ class TestExactness:
             request.check_exact()
 
 
+    @pytest.mark.parametrize(
+        "start, end, latency, exact",
+        [
+            (-0.0, 1.0, 1.0, False),  # repr(-0.0) != repr(0.0)
+            (0.0, -0.0, 0.0, False),
+            (0.0, float("nan"), float("nan"), True),  # any NaN reprs as nan
+            (0.0, 0.1 + 0.2, 0.30000000000000004, True),
+        ],
+    )
+    def test_boundaries_compare_with_repr_equality(self, start, end, latency, exact):
+        request = RequestAttribution(
+            "a", 0, 0.0, latency, 0.0, False, 0.0, 0.0,
+            [Segment("service", "", start, end)],
+        )
+        assert request.exact is exact
+
+
 class TestRollups:
     def test_tenant_rollup_sums_requests_and_counts_instants(self):
         track = "tenant:a"

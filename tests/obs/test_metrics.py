@@ -127,6 +127,15 @@ class TestObserveMany:
         bulk.observe_many(values, tenant="a")
         assert scalar.series[("a",)] == bulk.series[("a",)]
 
+    def test_nan_lands_in_the_inf_bucket_as_in_observe(self):
+        """Regression: the bulk path's bisect placed a NaN in the first bucket."""
+        scalar = MetricsRegistry().histogram("h", buckets=(5.0, 50.0))
+        bulk = MetricsRegistry().histogram("h", buckets=(5.0, 50.0))
+        for value in (1.0, float("nan")):
+            scalar.observe(value)
+        bulk.observe_many([1.0, float("nan")])
+        assert bulk.series[()][0] == scalar.series[()][0] == [1, 0, 1]
+
     def test_empty_batch_creates_no_series(self):
         hist = MetricsRegistry().histogram("h", buckets=(5.0,))
         hist.observe_many([])

@@ -620,6 +620,8 @@ class TestInputBoundary:
             ["plan", "--scenario", "gen:n=4,seed=x"],
             ["plan", "--scenario", "gen:n=4,bw=abc"],
             ["plan", "--scenario", "gen:n=4,seed=-1"],
+            ["plan", "--scenario", "gen:n=1000000000000", "--method", "offload",
+             "--model", "tiny_cnn"],
             ["compare", "--scenario", "DB", "--episodes", "0"],
             ["compare", "--scenario", "DB", "--random-splits", "0"],
             ["compare", "--scenario", "DB", "--episode-batch", "0"],
@@ -640,6 +642,7 @@ class TestInputBoundary:
             "plan-alpha", "plan-alpha-nan", "plan-random-splits",
             "plan-device-bandwidth", "plan-device-type", "plan-device-bandwidth-inf",
             "plan-gen-seed-text", "plan-gen-bw-text", "plan-gen-seed-negative",
+            "plan-gen-n-too-large",
             "compare-episodes", "compare-random-splits", "compare-episode-batch",
             "evaluate-missing-file", "evaluate-not-json",
             "serve-window-ms-nan", "analyze-window-ms-nan",

@@ -59,7 +59,7 @@ class TestRoundTrip:
             ),
             st.builds(
                 lambda times: TraceArrivals(tuple(sorted(times))),
-                st.lists(non_negative, min_size=1, max_size=6),
+                st.lists(non_negative, max_size=6),
             ),
         )
     )
@@ -179,6 +179,19 @@ class TestBadInput:
         """Regression: these failed with int()'s or numpy's message, naming no option."""
         with pytest.raises(ValueError, match=f"generator option {option}"):
             parse_generator_spec(spec)
+
+    def test_empty_trace_replay_round_trips(self):
+        """Regression: `traffic:trace,times=` (the empty replay's spec) was rejected."""
+        assert TraceArrivals(()).spec == "traffic:trace,times="
+        assert parse_traffic_spec(TraceArrivals(()).spec) == TraceArrivals(())
+
+    @pytest.mark.parametrize(
+        "offsets", [(0.5, float("nan"), 0.2), (float("nan"),), (0.0, float("inf"))]
+    )
+    def test_trace_offsets_must_be_finite(self, offsets):
+        """Regression: a NaN passed `t < 0` and the order check after it."""
+        with pytest.raises(ValueError, match="must all be finite"):
+            TraceArrivals(offsets)
 
     def test_churn_window_end_must_be_finite(self):
         """Regression: the window end overflowed inside numpy at resolve time."""
