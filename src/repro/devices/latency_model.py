@@ -31,6 +31,7 @@ from repro.devices.specs import DeviceType
 from repro.nn.graph import LayerVolume
 from repro.nn.layers import LayerSpec
 from repro.nn.splitting import SplitPart, per_layer_row_ranges
+from repro.utils.fold import fold_sum
 from repro.utils.units import FP16_BYTES
 from repro.utils.validation import check_non_negative
 
@@ -144,7 +145,7 @@ class ComputeLatencyModel:
 
     def full_model(self, layers: Sequence[LayerSpec]) -> float:
         """Latency of executing every layer in full on this device (ms)."""
-        return sum(layer_compute_latency_ms(self.dtype, layer, None) for layer in layers)
+        return fold_sum(layer_compute_latency_ms(self.dtype, layer, None) for layer in layers)
 
 
 __all__ = [

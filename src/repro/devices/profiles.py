@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.devices.profiler import ProfiledLatency
 from repro.nn.graph import ModelSpec
+from repro.utils.fold import fold_sum
 
 
 class LatencyProfile:
@@ -43,7 +44,7 @@ class LatencyProfile:
 
     def volume_latency_ms(self, layer_rows: Sequence[Tuple[str, int]]) -> float:
         """Sum of per-layer latencies for a split-part spanning several layers."""
-        return sum(self.latency_ms(name, rows) for name, rows in layer_rows if rows > 0)
+        return fold_sum(self.latency_ms(name, rows) for name, rows in layer_rows if rows > 0)
 
     def latency_ms_batch(self, layer_name: str, out_rows: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`latency_ms` over an integer array of row counts.

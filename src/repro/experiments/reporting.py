@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence
 
+from repro.utils.fold import fold_sum
+
 
 def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]], title: str = "") -> str:
     """Render an aligned text table (shared by the IPS and serving tables)."""
@@ -151,7 +153,7 @@ def format_fault_report(report, title: str = "") -> str:
             f"{t.retry_added_ms:.1f}",
         ])
     table = _render_table(header, rows, title)
-    degraded = sum(hi - lo for lo, hi in faults.degraded_windows_s)
+    degraded = fold_sum(hi - lo for lo, hi in faults.degraded_windows_s)
     footer = (
         f"events: {faults.num_crashes} crashes, {faults.num_leaves} leaves, "
         f"{faults.num_joins} joins  live at end: {faults.live_at_end}  "

@@ -46,6 +46,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.obs.trace import _MISSING, TraceEvent, Tracer, _TraceTable, events_from_chrome
+from repro.utils.fold import fold_sum
 
 #: Sliver-coverage tie break: a compute span outranks a send span
 #: outranks a recv span covering the same instant.
@@ -470,14 +471,6 @@ class _TenantEvents:
         self.rollup = TenantAttribution(name)
 
 
-def _fold(values) -> float:
-    """Left-to-right sum from ``0.0``: the rounding of a ``+=`` loop."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def _records(cls, *columns) -> Iterator[tuple]:
     """``cls`` records (a NamedTuple) built from columns at C speed."""
     return map(tuple.__new__, repeat(cls), zip(*columns))
@@ -635,11 +628,11 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
         truncated_attempts += truncated_here
         rollup.lost_attempts += truncated_here
 
-        rollup.response_ms = _fold(float(r) for r in responses[t] if r is not _MISSING)
+        rollup.response_ms = fold_sum(float(r) for r in responses[t] if r is not _MISSING)
         rollup.misses = sum(1 for missed in misses[t] if missed is not _MISSING and missed)
         rollup.requests = served[t]
-        rollup.queue_ms = _fold(queues[t])
-        rollup.latency_ms = _fold(latencies[t])
+        rollup.queue_ms = fold_sum(queues[t])
+        rollup.latency_ms = fold_sum(latencies[t])
 
         # Per-label sums fold in request order, one label at a time.  An
         # uncontended request is one service segment, and latency - 0.0 is
@@ -647,7 +640,7 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
         by_label = rollup.by_label
         final = entry.final_by_release
         if not final:  # no dispatch: every request saw an idle fleet
-            by_label["service"] = _fold(latencies[t])
+            by_label["service"] = fold_sum(latencies[t])
             services = _records(
                 Segment, repeat("service"), repeat(""), repeat(0.0), latencies[t]
             )

@@ -39,7 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry, record_serving_report
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, Histogram
 
 
 @dataclass(frozen=True)
@@ -439,7 +439,11 @@ class SLOMonitor:
     def _tenant_summary(
         self, report, streams: Dict[str, _MissStream]
     ) -> Dict[str, Dict]:
-        registry = record_serving_report(MetricsRegistry(), report)
+        # The per-tenant repro_response_ms histogram the metrics recorder
+        # builds, and nothing else: its quantiles are all the summary reads.
+        response = Histogram(
+            "repro_response_ms", "", ("tenant",), buckets=DEFAULT_LATENCY_BUCKETS_MS
+        )
         summary: Dict[str, Dict] = {}
         for tenant in report.tenants:
             if tenant.slo is None:
@@ -455,12 +459,9 @@ class SLOMonitor:
                 "p99_ms": None,
             }
             if tenant.num_completed:
-                entry["p95_ms"] = registry.quantile(
-                    "repro_response_ms", 95, tenant=tenant.name
-                )
-                entry["p99_ms"] = registry.quantile(
-                    "repro_response_ms", 99, tenant=tenant.name
-                )
+                response.observe_many(tenant.response_ms, tenant=tenant.name)
+                entry["p95_ms"] = response.quantile(95, tenant=tenant.name)
+                entry["p99_ms"] = response.quantile(99, tenant=tenant.name)
             summary[tenant.name] = entry
         return summary
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -570,7 +570,9 @@ class ContentionAwareEvaluator:
         structure, network state, gate, lane residuals)``.  A hit replays
         the exact floats of the original walk, so memoization is
         behaviour-preserving; the serving reference loop disables it to
-        stay the semantics oracle.
+        stay the semantics oracle.  Over a :class:`BatchPlanEvaluator` the
+        LRU also keeps the idle-fleet latencies of :meth:`predict`'s
+        admission bound.
     memo:
         An externally-owned :class:`~repro.utils.cache.LRUCache` to use
         instead of a private one (implies ``memoize``).  The capacity
@@ -719,10 +721,30 @@ class ContentionAwareEvaluator:
             return None
         return network_state_signature(self.network, t_seconds)
 
+    def _idle_latency_ms(
+        self, plan: DistributionPlan, key: Tuple, t_seconds: float, rates: Tuple[float, ...]
+    ) -> float:
+        """The plan's idle-fleet latency, kept in the memo beside its schedules.
+
+        The entry's key is the schedule key without gate and residuals, so a
+        shared memo spares warm runs the evaluation too; ``peek`` leaves the
+        hit count to schedule replays.
+        """
+        idle_key = key[:3]
+        latency_ms = self._memo.peek(idle_key)
+        if latency_ms is None:
+            latency_ms = self._compiler.evaluate_plans([plan], t_seconds, rates=rates)[0].end_to_end_ms
+            self._memo.put(idle_key, latency_ms)
+        return latency_ms
+
     # ------------------------------------------------------------------ #
     def predict(
-        self, plan: DistributionPlan, release_ms: float, t_seconds: float = 0.0
-    ) -> ContendedOutcome:
+        self,
+        plan: DistributionPlan,
+        release_ms: float,
+        t_seconds: float = 0.0,
+        misses: Optional[Callable[[float], bool]] = None,
+    ) -> Optional[ContendedOutcome]:
         """Predict one request's contended outcome *without* committing it.
 
         The prediction is exact, not estimated: it is the very schedule
@@ -731,6 +753,16 @@ class ContentionAwareEvaluator:
         (:mod:`repro.serving.control`) decides on this outcome and only
         :meth:`commit`\\ s it when the request is admitted, so a denied
         request leaves the shared state untouched.
+
+        ``misses`` is the admission test on a latency.  On a memo miss with
+        the fleet contended, a memoizing evaluator over a
+        :class:`BatchPlanEvaluator` first applies it to the plan's cached
+        idle-fleet latency and returns ``None``
+        without walking when the idle fleet already misses: lane residuals
+        and the gate enter the walk only through ``max``, and ``max``, ``+``
+        and ``*``/``/`` by a positive constant are monotone under IEEE
+        rounding, so the contended latency is never below the idle one and
+        the walk could not change the verdict.
         """
         if plan.num_devices != self.fleet.num_devices:
             raise ValueError(
@@ -745,6 +777,17 @@ class ContentionAwareEvaluator:
             outcome = self._memo.get(key)
         prof = self.profiler
         if outcome is None:
+            # On an idle fleet the walk *is* the idle walk: no bound to take.
+            if (
+                misses is not None
+                and self._memo is not None
+                and self._compiler is not None
+                and (gate_rel > 0.0 or any(r > 0.0 for r in residuals))
+                and misses(self._idle_latency_ms(plan, key, t_seconds, rates))
+            ):
+                if prof.enabled:
+                    prof.count("contention.idle_miss")
+                return None
             if prof.enabled:
                 walk_start = perf_counter()
                 _, outcome = self._schedule(plan, t_seconds, rates, residuals, gate_rel)

@@ -40,6 +40,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, U
 import numpy as np
 
 from repro.runtime.plan import DistributionPlan
+from repro.utils.fold import fold_sum
 from repro.utils.rng import counter_rng
 from repro.utils.specs import SpecGrammar, read_float, read_int, render_value
 
@@ -469,7 +470,7 @@ class DegradationPolicy:
         """Tenant indices to shed at a given live fraction (possibly empty)."""
         if live_fraction >= self.min_live_fraction or len(weights) <= 1:
             return ()
-        total = float(sum(weights))
+        total = float(fold_sum(weights))
         if total <= 0:
             return ()
         order = self.shed_order(weights)
@@ -778,7 +779,7 @@ def build_fault_report(ctx: FaultContext, tenant_reports: Sequence) -> FaultRepo
     layer).  Sums run in tenant order, so the float accumulation is
     identical across loops.
     """
-    degraded_ms = float(sum((hi - lo) * 1000.0 for lo, hi in ctx.degraded_windows_s))
+    degraded_ms = float(fold_sum((hi - lo) * 1000.0 for lo, hi in ctx.degraded_windows_s))
     return FaultReport(
         num_crashes=ctx.trace.num_crashes,
         num_leaves=ctx.trace.num_leaves,
@@ -787,7 +788,7 @@ def build_fault_report(ctx: FaultContext, tenant_reports: Sequence) -> FaultRepo
         lost_attempts=int(sum(t.num_lost_attempts for t in tenant_reports)),
         retried_requests=int(sum(t.num_retried for t in tenant_reports)),
         abandoned_requests=int(sum(t.num_abandoned for t in tenant_reports)),
-        retry_latency_added_ms=float(sum(t.retry_added_ms for t in tenant_reports)),
+        retry_latency_added_ms=float(fold_sum(t.retry_added_ms for t in tenant_reports)),
         degraded_ms=degraded_ms,
         shed_by_tenant=tuple(int(t.num_shed) for t in tenant_reports),
         degraded_windows_s=ctx.degraded_windows_s,

@@ -32,6 +32,7 @@ from repro.nn.graph import LayerVolume
 from repro.nn.layers import LayerSpec
 from repro.nn.splitting import SplitPart
 from repro.utils.cache import LRUCache
+from repro.utils.fold import fold_sum
 
 
 class ComputeOracle(Protocol):
@@ -58,7 +59,7 @@ class GroundTruthComputeOracle:
 
     def head_latency_ms(self, device_index: int, head_layers: Sequence[LayerSpec]) -> float:
         model = self._models[device_index]
-        return sum(model.layer(layer) for layer in head_layers)
+        return fold_sum(model.layer(layer) for layer in head_layers)
 
 
 class ProfileComputeOracle:

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serving.simulator import ServingReport
+from repro.utils.fold import fold_sum
 
 #: Builds/serves one probe: fleet size -> the run's report.
 ProbeRunner = Callable[[int], ServingReport]
@@ -507,7 +508,7 @@ class FleetAutoscaler:
             fast = miss / cfg.target_miss_rate
             self._burn_history.append(fast)
             trailing = self._burn_history[-cfg.burn_windows:]
-            slow = sum(trailing) / len(trailing)
+            slow = fold_sum(trailing) / len(trailing)
             self._last_burns = (fast, slow)
             if fast >= cfg.burn_threshold and slow >= cfg.burn_threshold:
                 grown = self._clamp(observed + cfg.step)

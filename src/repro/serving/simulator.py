@@ -81,7 +81,7 @@ from repro.runtime.faults import (
 )
 from repro.serving.dispatch import ClusterPolicy, FleetDispatcher
 from repro.serving.engine import ArrayServingEngine, vectorizable
-from repro.serving.tenants import TenantReport, TenantRuntime, TenantSpec
+from repro.serving.tenants import Dispatch, TenantReport, TenantRuntime, TenantSpec
 from repro.utils.cache import LRUCache
 
 #: Event-loop modes.
@@ -301,6 +301,11 @@ def _emit_contended_commit(
             wait_ms=wait,
             jobs=jobs,
         )
+
+
+def _response_ms(dispatch: Dispatch, latency_ms: float) -> float:
+    """The response time :meth:`TenantRuntime.commit` records, bit for bit."""
+    return ((dispatch.start_s + latency_ms / 1000.0) - dispatch.arrival_s) * 1000.0
 
 
 class ServingSimulator:
@@ -575,7 +580,14 @@ class ServingSimulator:
         fleet state and an admitted one records exactly its predicted
         response.  Both modes run the identical decision code on identical
         floats (a memo hit replays the fresh walk's floats), preserving
-        bit-parity.
+        bit-parity.  On a memo miss the batched loop over a
+        :class:`~repro.runtime.batch.BatchPlanEvaluator` first bounds the
+        request with the idle fleet: contention only delays a request, so
+        one whose response at the cached idle latency already misses its
+        deadline is requeued or denied without a contended walk
+        (:meth:`~repro.runtime.contention.ContentionAwareEvaluator.predict`).
+        The reference loop walks every request, so parity checks every
+        decision the bound takes.
 
         Fleet churn (``fault_ctx``) adds a replan → predict → crash-check
         step: every selection replans around the instant's dead devices
@@ -627,17 +639,20 @@ class ServingSimulator:
                 plan = fault_ctx.degrader.effective_plan(
                     plan, fault_ctx.trace.live_indices(release_ms)
                 )
+            slo = runtimes[index].spec.slo if predictive else None
             outcome = engine.predict(
-                plan, release_ms=release_ms, t_seconds=dispatch.start_s
+                plan,
+                release_ms=release_ms,
+                t_seconds=dispatch.start_s,
+                misses=(
+                    None
+                    if slo is None
+                    else lambda latency_ms: _response_ms(dispatch, latency_ms) > slo.deadline_ms
+                ),
             )
-            slo = runtimes[index].spec.slo
-            if predictive and slo is not None:
-                # The exact response-time arithmetic TenantRuntime.commit
-                # would record — the prediction and the commit agree bit for
-                # bit, so an admitted request never surprises its own gate.
-                completion_s = dispatch.start_s + outcome.latency_ms / 1000.0
-                predicted_response_ms = (completion_s - dispatch.arrival_s) * 1000.0
-                if predicted_response_ms > slo.deadline_ms:
+            if slo is not None:
+                # ``None``: the idle fleet already misses, so no walk ran.
+                if outcome is None or _response_ms(dispatch, outcome.latency_ms) > slo.deadline_ms:
                     if policy.on_predicted_miss == "requeue":
                         next_event_ms = engine.fleet.next_free_event_ms(release_ms)
                         new_start_s = (
@@ -646,13 +661,17 @@ class ServingSimulator:
                         if new_start_s is not None and new_start_s > dispatch.start_s:
                             pending[index] = runtimes[index].defer_pending(new_start_s)
                             if tracer.enabled:
+                                if outcome is None:  # the instant records the contended prediction
+                                    outcome = engine.predict(
+                                        plan, release_ms=release_ms, t_seconds=dispatch.start_s
+                                    )
                                 tracer.instant(
                                     release_ms,
                                     f"tenant:{runtimes[index].spec.name}",
                                     "admission",
                                     "requeue",
                                     new_start_ms=new_start_s * 1000.0,
-                                    predicted_response_ms=predicted_response_ms,
+                                    predicted_response_ms=_response_ms(dispatch, outcome.latency_ms),
                                 )
                             continue
                         # No later lane-free event: the fleet is (effectively)

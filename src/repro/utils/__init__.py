@@ -1,5 +1,6 @@
-"""Shared utilities: RNG handling, units, validation helpers."""
+"""Shared utilities: RNG handling, units, validation helpers, float folds."""
 
+from repro.utils.fold import fold_sum
 from repro.utils.rng import as_rng, spawn_rng
 from repro.utils.units import (
     MBPS,
@@ -16,6 +17,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "fold_sum",
     "as_rng",
     "spawn_rng",
     "MBPS",

@@ -12,11 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import BASELINE_REGISTRY
 from repro.devices.specs import make_cluster
+from repro.experiments.scenarios import resolve_scenario
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
+from repro.obs.trace import Tracer
 from repro.runtime.batch import BatchPlanEvaluator
+from repro.runtime.contention import ContentionAwareEvaluator
 from repro.runtime.evaluator import PlanEvaluator
+from repro.runtime.faults import RetryPolicy
 from repro.runtime.plan import DistributionPlan
 from repro.serving import (
     SLO,
@@ -124,6 +129,125 @@ def test_admission_metadata_mismatch_raises(fleet, model):
     other = _run(fleet, model, ClusterPolicy(admission="none"))
     with pytest.raises(ParityMismatch):
         assert_reports_equal(base, other)
+
+
+# --------------------------------------------------------------------- #
+# the idle bound
+# --------------------------------------------------------------------- #
+
+BOUND_DEADLINE_MS = 30.0
+
+
+@pytest.fixture(scope="module")
+def dynamic_fleet():
+    return resolve_scenario("gen:n=4,seed=3,trace=dynamic").build(seed=3)
+
+
+def _bound_tenants(model, devices, network):
+    """Distributed plans at a deadline that some requests miss even idle."""
+    return [
+        TenantSpec(
+            method,
+            BASELINE_REGISTRY[method]().plan(model, devices, network),
+            traffic=PoissonArrivals(rate, seed=20 + i),
+            slo=SLO(deadline_ms=BOUND_DEADLINE_MS),
+            weight=1.0 + i,
+        )
+        for i, (method, rate) in enumerate([("coedge", 60.0), ("modnn", 40.0), ("offload", 60.0)])
+    ]
+
+
+def _count_idle_misses(monkeypatch, fleet, run):
+    """Run ``run()``; count its predicted misses, and the contended ones the idle fleet misses too.
+
+    Every predicted miss ends in ``deny_pending`` or ``defer_pending``, and
+    the (possibly degraded) plan and outcome it was decided on are the last
+    ``predict`` saw.  The idle response uses ``TenantRuntime.commit``'s
+    arithmetic.
+    """
+    predict = ContentionAwareEvaluator.predict
+    deny = TenantRuntime.deny_pending
+    defer = TenantRuntime.defer_pending
+    last = []
+    misses = []
+
+    def spy_predict(self, plan, *args, **kwargs):
+        outcome = predict(self, plan, *args, **kwargs)
+        last[:] = [plan, outcome]
+        return outcome
+
+    def spy_deny(self):
+        misses.append((self._pending, *last))
+        return deny(self)
+
+    def spy_defer(self, new_start_s):
+        misses.append((self._pending, *last))
+        return defer(self, new_start_s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ContentionAwareEvaluator, "predict", spy_predict)
+        patch.setattr(TenantRuntime, "deny_pending", spy_deny)
+        patch.setattr(TenantRuntime, "defer_pending", spy_defer)
+        report = run()
+    idle = BatchPlanEvaluator(*fleet)
+    hopeless = 0
+    for dispatch, plan, outcome in misses:
+        idle_ms = idle.evaluate(plan, dispatch.start_s).end_to_end_ms
+        response_ms = ((dispatch.start_s + idle_ms / 1000.0) - dispatch.arrival_s) * 1000.0
+        hopeless += outcome.contended and response_ms > BOUND_DEADLINE_MS
+    return report, len(misses), hopeless
+
+
+@pytest.mark.parametrize("churn", [None, "churn:crashes=8,window_ms=900"])
+@pytest.mark.parametrize("action", ["reject", "requeue"])
+def test_idle_bound_skips_exactly_the_hopeless_walks(monkeypatch, dynamic_fleet, action, churn):
+    """The batched loop decides idle-fleet misses without a contended walk.
+
+    Contention only delays a request, so an idle miss is a contended miss:
+    the batched report must equal the reference's (which walks every
+    request), and its walks plus memo hits must fall short of the
+    reference's predictions by exactly the contended misses the idle fleet
+    misses too (on an idle fleet the walk is the idle walk, so no bound is
+    taken; a hopeless request is never memoized, and in these runs none
+    replays a schedule memoized for another request).
+    """
+    model = model_zoo.small_vgg(64)
+    devices, network = dynamic_fleet
+    tenants = _bound_tenants(model, devices, network)
+    policy = ClusterPolicy(discipline="wfq", admission="predictive", on_predicted_miss=action)
+    run_args = dict(duration_s=1.0, policy=policy, faults=churn)
+    if churn is not None:
+        run_args["retry"] = RetryPolicy(max_attempts=3, backoff_ms=10.0, jitter_ms=2.0, seed=1)
+
+    traced = Tracer()
+    run_with_parity(
+        BatchPlanEvaluator(devices, network),
+        PlanEvaluator(devices, network),
+        tenants,
+        tracer=traced,
+        **run_args,
+    )
+    reference_trace = Tracer()
+    reference, misses, hopeless = _count_idle_misses(
+        monkeypatch,
+        dynamic_fleet,
+        lambda: ServingSimulator(PlanEvaluator(devices, network)).run(
+            tenants, mode="reference", tracer=reference_trace, **run_args
+        ),
+    )
+    assert traced.lines() == reference_trace.lines()
+
+    batched = ServingSimulator(BatchPlanEvaluator(devices, network)).run(tenants, **run_args)
+    assert_reports_equal(batched, reference)
+    assert reference.total_denied > 0 and 0 < hopeless < misses
+    # The reference walks every prediction; the batched loop predicts
+    # (walk or memo hit) every request but the hopeless contended ones.
+    assert batched.epochs + batched.cache_hits == reference.epochs - hopeless
+    assert batched.epochs < reference.epochs
+    if churn is not None:
+        assert sum(t.num_retried for t in reference.tenants) > 0
+    if action == "requeue":
+        assert any(" admission requeue " in line for line in reference_trace.lines())
 
 
 # --------------------------------------------------------------------- #
