@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's evaluation artefacts (a table
-or a figure) and prints the resulting rows so they can be copied into
-EXPERIMENTS.md.  Benchmarks run **once** (``benchmark.pedantic`` with a single
+or a figure) and prints the resulting rows; each figure bench states the
+paper's expected shape in its docstring, and ``docs/benchmarks.md`` covers
+running them.  Benchmarks run **once** (``benchmark.pedantic`` with a single
 round) because each one is itself a full experiment, not a micro-benchmark.
 
 Fidelity knobs are read from environment variables so the same files can be

@@ -36,8 +36,8 @@ def test_fig13_dynamic_network_latency(benchmark, fast_harness):
 
     # Shape: CoEdge (layer-by-layer) is the worst or near-worst; DistrEdge is
     # no worse than AOFL.  Our calibration narrows the DistrEdge-vs-AOFL gap
-    # relative to the paper (see EXPERIMENTS.md) so the bound is a tie check,
-    # not the paper's 0.40-0.65 band.
+    # relative to the paper (this module's docstring has the paper's shape)
+    # so the bound is a tie check, not the paper's 0.40-0.65 band.
     assert data["coedge"]["mean_latency_ms"] > data["distredge"]["mean_latency_ms"] * 0.95
     assert data["distredge"]["mean_latency_ms"] <= data["aofl"]["mean_latency_ms"] * 1.10
     for stats in data.values():

@@ -14,7 +14,8 @@ latency model (see :mod:`repro.devices.latency_model`):
 * ``mem_bandwidth_bytes_per_s`` — memory bandwidth for the roofline term.
 
 The catalogue values are *calibration constants of the simulation*, not
-measurements of real boards; EXPERIMENTS.md discusses how they were chosen.
+measurements of real boards; the comment on :data:`DEVICE_CATALOG` below says
+how they were chosen.
 """
 
 from __future__ import annotations

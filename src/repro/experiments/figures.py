@@ -2,8 +2,9 @@
 
 Each ``figureN`` function reproduces the data behind the corresponding paper
 figure and returns a plain dictionary of rows/series (no plotting — the
-benchmark harness prints the values, and EXPERIMENTS.md records them against
-the paper's numbers).  All heavy computation is delegated to an
+figure benchmarks ``benchmarks/test_bench_fig*.py`` print the values, and
+each one's docstring states the paper's expected shape they are held to).
+All heavy computation is delegated to an
 :class:`~repro.experiments.harness.ExperimentHarness`, whose configuration
 controls the fidelity/runtime trade-off.
 """

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.obs.trace import _MISSING, TraceEvent, Tracer, _TraceTable, events_from_chrome
-from repro.utils.fold import fold_sum
+from repro.utils.fold import fold_array, fold_sum
 
 #: Sliver-coverage tie break: a compute span outranks a send span
 #: outranks a recv span covering the same instant.
@@ -95,6 +95,11 @@ def _same_float(a: float, b: float) -> bool:
     if a == b:
         return a != 0.0 or copysign(1.0, a) == copysign(1.0, b)
     return a != a and b != b
+
+
+def _same_floats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_same_float` element by element."""
+    return ((a == b) & (np.signbit(a) == np.signbit(b))) | (np.isnan(a) & np.isnan(b))
 
 
 class RequestAttribution(NamedTuple):
@@ -180,29 +185,75 @@ class RequestAttribution(NamedTuple):
         return " ".join(parts)
 
 
+class _IdleRequests:
+    """One tenant's uncontended requests, held as columns.
+
+    Each request is tiled by one ``service`` segment ``[0.0, latency]``, so
+    the start, latency and queue columns are the whole of its
+    :class:`RequestAttribution`; the records are built only when read.
+    """
+
+    __slots__ = ("tenant", "start_ms", "latency_ms", "queue_ms")
+    contended = False
+
+    def __init__(self, tenant: str, start_ms, latency_ms, queue_ms) -> None:
+        self.tenant, self.start_ms, self.latency_ms, self.queue_ms = tenant, start_ms, latency_ms, queue_ms
+
+    def __len__(self) -> int:
+        return len(self.latency_ms)
+
+    def records(self) -> List[RequestAttribution]:
+        latencies = self.latency_ms.tolist()
+        return list(_records(
+            RequestAttribution, repeat(self.tenant), count(), self.start_ms.tolist(),
+            latencies, self.queue_ms.tolist(), repeat(False), repeat(0.0), repeat(0.0),
+            ([Segment("service", "", 0.0, latency)] for latency in latencies),
+        ))
+
+    def check_exact(self) -> None:
+        """The one segment lasts exactly the latency (``latency - 0.0``),
+        checked as one array comparison with :func:`_same_float` semantics."""
+        same = _same_floats(self.latency_ms - 0.0, self.latency_ms)
+        if not same.all():
+            self.records()[int(np.argmin(same))].check_exact()
+
+    def lines(self) -> List[str]:
+        """:meth:`RequestAttribution.to_line` of each request."""
+        return [
+            f"{self.tenant} {index} {start!r} {latency!r} {queue!r} 0.0 idle "
+            f"service@-:0.0:{latency!r}"
+            for index, start, latency, queue in zip(
+                count(), self.start_ms.tolist(), self.latency_ms.tolist(),
+                self.queue_ms.tolist(),
+            )
+        ]
+
+
+#: :class:`TenantAttribution`'s counters and totals, in ``to_dict`` order.
+_TENANT_FIELDS = (
+    ("requests", int), ("contended_requests", int), ("queue_ms", float),
+    ("latency_ms", float), ("response_ms", float), ("lane_wait_ms", float),
+    ("misses", int), ("rejects", int), ("denies", int), ("requeues", int),
+    ("sheds", int), ("abandons", int), ("replans", int), ("retries", int),
+    ("retry_backoff_ms", float), ("lost_attempts", int), ("lost_attempt_ms", float),
+)
+
+#: The totals :meth:`TenantAttribution.to_line` renders after the labels.
+_LINE_TOTALS = (
+    "queue_ms", "latency_ms", "response_ms", "lane_wait_ms", "retry_backoff_ms",
+    "lost_attempt_ms",
+)
+
+
 class TenantAttribution:
-    """Per-tenant rollup of the request breakdowns plus trace-only facts."""
+    """Per-tenant rollup of the request breakdowns plus trace-only facts
+    (one attribute per :data:`_TENANT_FIELDS` entry, from zero)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.requests = 0
-        self.contended_requests = 0
-        self.queue_ms = 0.0
-        self.latency_ms = 0.0
-        self.response_ms = 0.0
-        self.lane_wait_ms = 0.0
+        for field, kind in _TENANT_FIELDS:
+            setattr(self, field, kind())
         self.by_label: Dict[str, float] = {label: 0.0 for label in SEGMENT_LABELS}
-        self.misses = 0
-        self.rejects = 0
-        self.denies = 0
-        self.requeues = 0
-        self.sheds = 0
-        self.abandons = 0
-        self.replans = 0
-        self.retries = 0
-        self.retry_backoff_ms = 0.0
-        self.lost_attempts = 0
-        self.lost_attempt_ms = 0.0
 
     @property
     def dominant(self) -> str:
@@ -214,42 +265,16 @@ class TenantAttribution:
         return max(candidates, key=lambda kv: kv[1])[0]
 
     def to_dict(self) -> Dict:
-        out: Dict = {
-            "name": self.name,
-            "requests": int(self.requests),
-            "contended_requests": int(self.contended_requests),
-            "queue_ms": float(self.queue_ms),
-            "latency_ms": float(self.latency_ms),
-            "response_ms": float(self.response_ms),
-            "lane_wait_ms": float(self.lane_wait_ms),
-            "misses": int(self.misses),
-            "rejects": int(self.rejects),
-            "denies": int(self.denies),
-            "requeues": int(self.requeues),
-            "sheds": int(self.sheds),
-            "abandons": int(self.abandons),
-            "replans": int(self.replans),
-            "retries": int(self.retries),
-            "retry_backoff_ms": float(self.retry_backoff_ms),
-            "lost_attempts": int(self.lost_attempts),
-            "lost_attempt_ms": float(self.lost_attempt_ms),
-            "dominant": self.dominant,
-        }
-        for label in SEGMENT_LABELS:
-            out[f"{label}_ms"] = float(self.by_label[label])
+        out: Dict = {"name": self.name}
+        out.update((field, kind(getattr(self, field))) for field, kind in _TENANT_FIELDS)
+        out["dominant"] = self.dominant
+        out.update((f"{label}_ms", float(self.by_label[label])) for label in SEGMENT_LABELS)
         return out
 
     def to_line(self) -> str:
         cells = [f"tenant {self.name}", str(self.requests)]
         cells += [repr(float(self.by_label[label])) for label in SEGMENT_LABELS]
-        cells += [
-            repr(float(self.queue_ms)),
-            repr(float(self.latency_ms)),
-            repr(float(self.response_ms)),
-            repr(float(self.lane_wait_ms)),
-            repr(float(self.retry_backoff_ms)),
-            repr(float(self.lost_attempt_ms)),
-        ]
+        cells += [repr(float(getattr(self, field))) for field in _LINE_TOTALS]
         return " ".join(cells)
 
 
@@ -259,48 +284,38 @@ class LaneAttribution:
     def __init__(self, lane: str) -> None:
         self.lane = lane
         self.device, self.role = _lane_parts(lane)
-        self.critical_ms = 0.0
-        self.busy_ms = 0.0
-        self.wait_ms = 0.0
-        self.jobs = 0
-        self.spans = 0
-        self.share = 0.0
+        self.critical_ms = self.busy_ms = self.wait_ms = self.share = 0.0
+        self.jobs = self.spans = 0
 
     def to_dict(self) -> Dict:
-        return {
-            "lane": self.lane,
-            "device": self.device,
-            "role": self.role,
-            "critical_ms": float(self.critical_ms),
-            "share": float(self.share),
-            "busy_ms": float(self.busy_ms),
-            "wait_ms": float(self.wait_ms),
-            "jobs": int(self.jobs),
-            "spans": int(self.spans),
-        }
+        out: Dict = {"lane": self.lane, "device": self.device, "role": self.role}
+        for field in ("critical_ms", "share", "busy_ms", "wait_ms"):
+            out[field] = float(getattr(self, field))
+        out.update(jobs=int(self.jobs), spans=int(self.spans))
+        return out
 
     def to_line(self) -> str:
-        return " ".join([
-            f"lane {self.lane}",
-            repr(float(self.critical_ms)),
-            repr(float(self.busy_ms)),
-            repr(float(self.wait_ms)),
-            str(self.jobs),
-            str(self.spans),
-        ])
+        totals = [repr(float(x)) for x in (self.critical_ms, self.busy_ms, self.wait_ms)]
+        return " ".join([f"lane {self.lane}", *totals, str(self.jobs), str(self.spans)])
 
 
 class AnalysisReport:
-    """The full attribution: per-request tilings, rollups, bottleneck ranking."""
+    """The full attribution: per-request tilings, rollups, bottleneck ranking.
+
+    ``requests`` lists :class:`RequestAttribution` records in order; an
+    uncontended tenant's requests may stand in it as one block of columns,
+    which :attr:`requests` materialises on first read.
+    """
 
     def __init__(
         self,
-        requests: List[RequestAttribution],
+        requests: List,
         tenants: List[TenantAttribution],
         lanes: List[LaneAttribution],
         truncated_attempts: int,
     ) -> None:
-        self.requests = requests
+        self._items = requests
+        self._requests: Optional[List[RequestAttribution]] = None
         self.tenants = tenants
         #: Ranked most critical-path milliseconds first — the fleet-level
         #: bottleneck ordering (ties by lane name).
@@ -308,21 +323,35 @@ class AnalysisReport:
         self.truncated_attempts = truncated_attempts
 
     @property
+    def requests(self) -> List[RequestAttribution]:
+        """Every request's attribution, in tenant order."""
+        if self._requests is None:
+            self._requests = [
+                record for item in self._items
+                for record in (item.records() if isinstance(item, _IdleRequests) else (item,))
+            ]
+        return self._requests
+
+    @property
     def num_requests(self) -> int:
-        return len(self.requests)
+        return sum(len(item) if isinstance(item, _IdleRequests) else 1 for item in self._items)
 
     @property
     def contended_requests(self) -> int:
-        return sum(1 for r in self.requests if r.contended)
+        return sum(1 for item in self._items if item.contended)
 
     @property
     def exact(self) -> bool:
         """Every request's tiling closes bit-exactly at its latency."""
-        return all(r.exact for r in self.requests)
+        try:
+            self.check_exact()
+        except AssertionError:
+            return False
+        return True
 
     def check_exact(self) -> None:
-        for request in self.requests:
-            request.check_exact()
+        for item in self._items:
+            item.check_exact()
 
     @property
     def bottleneck(self) -> str:
@@ -339,14 +368,8 @@ class AnalysisReport:
 
     def total(self, field: str) -> float:
         """Sum a :class:`TenantAttribution` field over every tenant."""
-        total = 0.0
-        for tenant in self.tenants:
-            total += (
-                tenant.by_label[field]
-                if field in SEGMENT_LABELS
-                else getattr(tenant, field)
-            )
-        return total
+        by_label = field in SEGMENT_LABELS
+        return fold_sum(t.by_label[field] if by_label else getattr(t, field) for t in self.tenants)
 
     def lines(self) -> List[str]:
         """Canonical byte serialisation of the whole attribution.
@@ -356,7 +379,10 @@ class AnalysisReport:
         parity contract (``run_with_parity(compare_analysis=True)``)
         asserts across the reference, batched and array loops.
         """
-        out = [request.to_line() for request in self.requests]
+        out = [
+            line for item in self._items
+            for line in (item.lines() if isinstance(item, _IdleRequests) else (item.to_line(),))
+        ]
         out += [tenant.to_line() for tenant in self.tenants]
         out += [lane.to_line() for lane in self.lanes]
         out.append(f"truncated_attempts {self.truncated_attempts}")
@@ -365,19 +391,8 @@ class AnalysisReport:
     def to_dict(self) -> Dict:
         """Machine-readable dump (the shape ``repro analyze --report-json``
         writes; pinned by ``tests/data/analysis_report_schema.json``)."""
-        totals: Dict = {
-            f"{label}_ms": float(self.total(label)) for label in SEGMENT_LABELS
-        }
-        totals.update(
-            {
-                "queue_ms": float(self.total("queue_ms")),
-                "latency_ms": float(self.total("latency_ms")),
-                "response_ms": float(self.total("response_ms")),
-                "lane_wait_ms": float(self.total("lane_wait_ms")),
-                "retry_backoff_ms": float(self.total("retry_backoff_ms")),
-                "lost_attempt_ms": float(self.total("lost_attempt_ms")),
-            }
-        )
+        totals = {f"{label}_ms": float(self.total(label)) for label in SEGMENT_LABELS}
+        totals.update((field, float(self.total(field))) for field in _LINE_TOTALS)
         return {
             "requests": int(self.num_requests),
             "contended_requests": int(self.contended_requests),
@@ -467,22 +482,13 @@ class _TenantEvents:
         self.serve = self.queue = self.complete = _NO_ROWS
         self.dispatches: List[Tuple[float, float, bool]] = []  # (release, lat, truncated)
         self.final_by_release: Dict[float, Tuple[float, bool]] = {}  # (gate, contended)
-        self.spans: List[Tuple[float, str, float, tuple]] = []  # (ts, track, dur, args)
+        self.spans: List[Tuple[float, str, float, dict]] = []  # (ts, track, dur, args)
         self.rollup = TenantAttribution(name)
 
 
 def _records(cls, *columns) -> Iterator[tuple]:
     """``cls`` records (a NamedTuple) built from columns at C speed."""
     return map(tuple.__new__, repeat(cls), zip(*columns))
-
-
-def _split(values: list, lengths: List[int]) -> List[list]:
-    """Cut ``values`` into consecutive pieces of the given lengths."""
-    pieces, at = [], 0
-    for length in lengths:
-        pieces.append(values[at:at + length])
-        at += length
-    return pieces
 
 
 def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
@@ -515,42 +521,27 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
     # Records whose args differ per event, in order.
     live_rows = order[per_event[table.stream[order]]].tolist()
     for ts_ms, track, kind, name, dur_ms, raw_args in map(table.event, live_rows):
+        args = dict(raw_args)
         if kind == "lane":
-            tenant_name = ""
-            for key, value in raw_args:
-                if key == "tenant":
-                    tenant_name = str(value)
-                    break
-            tenant_entry(tenant_name).spans.append((ts_ms, track, dur_ms, raw_args))
+            tenant_entry(str(args.get("tenant", ""))).spans.append((ts_ms, track, dur_ms, args))
             continue
         entry = tenants[track[7:]]
         rollup = entry.rollup
         if name == "dispatch":
-            latency = 0.0
-            truncated = False
-            gate_wait = 0.0
-            contended = False
-            for key, value in raw_args:
-                if key == "latency_ms":
-                    latency = float(value)
-                elif key == "truncated":
-                    truncated = bool(value)
-                elif key == "gate_wait_ms":
-                    gate_wait = float(value)
-                elif key == "contended":
-                    contended = bool(value)
+            latency = float(args.get("latency_ms", 0.0))
+            truncated = bool(args.get("truncated", False))
             entry.dispatches.append((ts_ms, latency, truncated))
             if truncated:
                 rollup.lost_attempt_ms += latency
             else:
-                entry.final_by_release[ts_ms] = (gate_wait, contended)
+                entry.final_by_release[ts_ms] = (
+                    float(args.get("gate_wait_ms", 0.0)), bool(args.get("contended", False))
+                )
         elif name == "retry":
-            args = dict(raw_args)
             rollup.retries += 1
             rollup.retry_backoff_ms += float(args.get("delay_ms", 0.0))
             rollup.lost_attempts += 1
         else:  # retry_chain
-            args = dict(raw_args)
             rollup.retries += max(int(args.get("attempts", 1)) - 1, 0)
             rollup.retry_backoff_ms += float(args.get("retry_added_ms", 0.0))
             rollup.lost_attempts += int(args.get("lost_attempts", 0))
@@ -568,20 +559,23 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
     serve = np.concatenate([_NO_ROWS] + [entry.serve for entry in entries])
     queue = np.concatenate([_NO_ROWS] + [entry.queue for entry in entries])
     complete = np.concatenate([_NO_ROWS] + [entry.complete for entry in entries])
-    served = [len(entry.serve) for entry in entries]
-    completed = [len(entry.complete) for entry in entries]
-    starts = _split(table.ts[serve].tolist(), served)
-    latencies = _split([
-        duration if latency is _MISSING else float(latency)
-        for latency, duration in zip(
-            table.arg_column(serve, "latency_ms"), table.dur[serve].tolist()
-        )
-    ], served)
-    queues = _split(table.dur[queue].tolist(), served)
-    responses = _split(table.arg_column(complete, "response_ms"), completed)
-    misses = _split(table.arg_column(complete, "deadline_missed"), completed)
+    served = np.cumsum([0] + [len(entry.serve) for entry in entries]).tolist()
+    completed = np.cumsum([0] + [len(entry.complete) for entry in entries]).tolist()
+    starts, latencies = table.columns(serve, ("ts_ms",), ("latency_ms",))
+    if latencies.dtype == object:  # a serve span without the arg: its duration
+        unset = latencies == _MISSING
+        latencies[unset] = table.columns(serve[unset], ("dur_ms",))[0]
+    (queues,) = table.columns(queue, ("dur_ms",))
+    # A missing response folds as 0.0: the running total starts at +0.0 and
+    # so is never -0.0, and adding 0.0 leaves every other float unchanged.
+    responses, missed = table.columns(complete, args=("response_ms", "deadline_missed"))
+    for column, absent in ((responses, 0.0), (missed, False)):
+        if column.dtype == object:
+            column[column == _MISSING] = absent
+    latencies, responses = latencies.astype(float), responses.astype(float)
+    missed = np.cumsum(np.concatenate(([0], missed.astype(bool)))).tolist()
 
-    requests: List[RequestAttribution] = []
+    requests: List = []
     rollups: List[TenantAttribution] = []
     lanes: Dict[str, LaneAttribution] = {}
     truncated_attempts = 0
@@ -600,16 +594,10 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
             lane = lanes.get(span_track)
             if lane is None:
                 lane = lanes[span_track] = LaneAttribution(span_track)
-            wait_ms = 0.0
-            jobs = 0
-            for key, value in span_args:
-                if key == "wait_ms":
-                    wait_ms = float(value)
-                elif key == "jobs":
-                    jobs = int(value)
+            wait_ms = float(span_args.get("wait_ms", 0.0))
             lane.busy_ms += span_dur
             lane.wait_ms += wait_ms
-            lane.jobs += jobs
+            lane.jobs += int(span_args.get("jobs", 0))
             lane.spans += 1
             rollup.lane_wait_ms += wait_ms
             if not releases:
@@ -628,11 +616,13 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
         truncated_attempts += truncated_here
         rollup.lost_attempts += truncated_here
 
-        rollup.response_ms = fold_sum(float(r) for r in responses[t] if r is not _MISSING)
-        rollup.misses = sum(1 for missed in misses[t] if missed is not _MISSING and missed)
-        rollup.requests = served[t]
-        rollup.queue_ms = fold_sum(queues[t])
-        rollup.latency_ms = fold_sum(latencies[t])
+        rows = slice(served[t], served[t + 1])
+        done = slice(completed[t], completed[t + 1])
+        rollup.response_ms = fold_array(responses[done])
+        rollup.misses = missed[done.stop] - missed[done.start]
+        rollup.requests = served[t + 1] - served[t]
+        rollup.queue_ms = fold_array(queues[rows])
+        rollup.latency_ms = fold_array(latencies[rows])
 
         # Per-label sums fold in request order, one label at a time.  An
         # uncontended request is one service segment, and latency - 0.0 is
@@ -640,20 +630,13 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
         by_label = rollup.by_label
         final = entry.final_by_release
         if not final:  # no dispatch: every request saw an idle fleet
-            by_label["service"] = fold_sum(latencies[t])
-            services = _records(
-                Segment, repeat("service"), repeat(""), repeat(0.0), latencies[t]
-            )
-            requests.extend(_records(
-                RequestAttribution, repeat(name), count(), starts[t], latencies[t],
-                queues[t], repeat(False), repeat(0.0), repeat(0.0),
-                map(list, zip(services)),
-            ))
+            by_label["service"] = rollup.latency_ms
+            requests.append(_IdleRequests(name, starts[rows], latencies[rows], queues[rows]))
             rollups.append(rollup)
             continue
-        for index, (start_ms, latency_ms, queue_ms) in enumerate(
-            zip(starts[t], latencies[t], queues[t])
-        ):
+        for index, (start_ms, latency_ms, queue_ms) in enumerate(zip(
+            starts[rows].tolist(), latencies[rows].tolist(), queues[rows].tolist()
+        )):
             found = final.get(start_ms)
             if found is None:
                 by_label["service"] += latency_ms
@@ -679,9 +662,7 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
         rollups.append(rollup)
 
     ranked = sorted(lanes.values(), key=lambda l: (-l.critical_ms, l.lane))
-    total_critical = 0.0
-    for lane in ranked:
-        total_critical += lane.critical_ms
+    total_critical = fold_sum(lane.critical_ms for lane in ranked)
     if total_critical > 0.0:
         for lane in ranked:
             lane.share = lane.critical_ms / total_critical
@@ -689,8 +670,7 @@ def _attribute(table: _TraceTable, order: np.ndarray) -> AnalysisReport:
 
 
 def _attribute_tracer(tracer: Tracer) -> AnalysisReport:
-    table = tracer._table()
-    return _attribute(table, table.canonical_order())
+    return _attribute(*tracer._canonical())
 
 
 def analyze_events(events: Iterable[TraceEvent]) -> AnalysisReport:

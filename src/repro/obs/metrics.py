@@ -22,9 +22,12 @@ sibling for scrape-style consumption.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.utils.fold import fold_array
 
 #: Default fixed buckets for millisecond latency histograms (upper bounds).
 DEFAULT_LATENCY_BUCKETS_MS: Tuple[float, ...] = (
@@ -40,14 +43,12 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _label_key(
-    label_names: Tuple[str, ...], labels: Dict[str, str]
-) -> Tuple[str, ...]:
-    if set(labels) != set(label_names):
+def _label_key(label_names: Tuple[str, ...], labels: Dict[str, str]) -> Tuple[str, ...]:
+    if len(labels) != len(label_names) or not all(map(labels.__contains__, label_names)):
         raise ValueError(
             f"labels {sorted(labels)} do not match declared {sorted(label_names)}"
         )
-    return tuple(str(labels[name]) for name in label_names)
+    return tuple(map(str, map(labels.__getitem__, label_names)))
 
 
 def _render_labels(label_names: Tuple[str, ...], key: Tuple[str, ...]) -> str:
@@ -114,6 +115,7 @@ class Histogram:
         self.help = help_text
         self.label_names = label_names
         self.buckets = bounds
+        self._bounds = np.array(bounds)
         # key -> (per-bucket counts (+Inf last), sum, count)
         self.series: Dict[Tuple[str, ...], Tuple[List[int], float, int]] = {}
 
@@ -142,20 +144,21 @@ class Histogram:
         observation order, so the resulting series is byte-identical to
         per-value ``observe`` calls, just cheaper.
         """
-        values = np.asarray(values, dtype=float)
-        if not values.size:
-            return
-        key = _label_key(self.label_names, labels)
-        entry = self.series.get(key)
-        if entry is None:
-            entry = ([0] * (len(self.buckets) + 1), 0.0, 0)
-        counts, total, n = entry
-        placed = np.bincount(np.searchsorted(self.buckets, values), minlength=len(counts))
-        for bucket, count in enumerate(placed.tolist()):
-            counts[bucket] += count
-        for value in values.tolist():
-            total += value
-        self.series[key] = (counts, total, n + values.size)
+        self.observe_each([(labels, values)])
+
+    def observe_each(self, batches: Sequence[Tuple[Dict[str, str], Sequence[float]]]) -> None:
+        """:meth:`observe_many` of each ``(labels, values)`` batch, in order,
+        with the values of every batch placed in one pass."""
+        arrays = [np.asarray(values, dtype=float) for _, values in batches]
+        width = len(self.buckets) + 1
+        places = self._bounds.searchsorted(np.concatenate([np.empty(0)] + arrays))
+        places += np.repeat(np.arange(len(arrays)) * width, [len(a) for a in arrays])
+        placed = np.bincount(places, minlength=len(arrays) * width).reshape(-1, width)
+        for (labels, _), values, row in zip(batches, arrays, placed.tolist()):
+            if values.size:
+                key = _label_key(self.label_names, labels)
+                counts, total, n = self.series.get(key) or ([0] * width, 0.0, 0)
+                self.series[key] = (list(map(add, counts, row)), fold_array(values, total), n + values.size)
 
     def _order_statistic(self, counts: List[int], rank: int) -> float:
         """The ``rank``-th (0-based) observation, reconstructed from buckets.
@@ -220,16 +223,10 @@ class MetricsRegistry:
         self._families[metric.name] = metric
         return metric
 
-    def counter(
-        self, name: str, help_text: str = "", label_names: Sequence[str] = ()
-    ) -> Counter:
-        return self._register(
-            Counter(_check_name(name), help_text, tuple(label_names))
-        )
+    def counter(self, name: str, help_text: str = "", label_names: Sequence[str] = ()) -> Counter:
+        return self._register(Counter(_check_name(name), help_text, tuple(label_names)))
 
-    def gauge(
-        self, name: str, help_text: str = "", label_names: Sequence[str] = ()
-    ) -> Gauge:
+    def gauge(self, name: str, help_text: str = "", label_names: Sequence[str] = ()) -> Gauge:
         return self._register(Gauge(_check_name(name), help_text, tuple(label_names)))
 
     def histogram(
@@ -380,9 +377,9 @@ def record_serving_report(
             retried.inc(tenant.num_retried, tenant=name)
         if tenant.slo is not None:
             missed.inc(int(tenant.deadline_missed.sum()), tenant=name)
-        response.observe_many(tenant.response_ms, tenant=name)
-        latency.observe_many(tenant.latency_ms, tenant=name)
         depth.set(int(tenant.max_queue_depth), tenant=name)
+    response.observe_each([({"tenant": t.name}, t.response_ms) for t in report.tenants])
+    latency.observe_each([({"tenant": t.name}, t.latency_ms) for t in report.tenants])
     run = registry.gauge("repro_run_info", "Run-level aggregates", ("field",))
     run.set(report.epochs, field="epochs")
     run.set(report.cache_hits, field="cache_hits")

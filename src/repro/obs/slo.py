@@ -34,7 +34,7 @@ function of the churn trace, or the parity contract would tear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,27 +107,14 @@ class AlertEvent:
 
     def to_line(self) -> str:
         """Canonical byte serialisation (floats via ``repr``)."""
-        return " ".join(
-            [
-                repr(float(self.t_s)),
-                self.scope,
-                self.rule,
-                self.severity,
-                self.state,
-                repr(float(self.fast_burn)),
-                repr(float(self.slow_burn)),
-            ]
-        )
+        return " ".join(str(value) for value in self.to_dict().values())
 
     def to_dict(self) -> Dict:
+        floats = ("t_s", "fast_burn", "slow_burn")
         return {
-            "t_s": float(self.t_s),
-            "scope": self.scope,
-            "rule": self.rule,
-            "severity": self.severity,
-            "state": self.state,
-            "fast_burn": float(self.fast_burn),
-            "slow_burn": float(self.slow_burn),
+            field.name: float(getattr(self, field.name)) if field.name in floats
+            else getattr(self, field.name)
+            for field in fields(self)
         }
 
 
@@ -275,6 +262,20 @@ class _MissStream:
         return rate / self.target
 
 
+def _transitions(times, fast, slow, threshold):
+    """``(t, (state, fast_burn, slow_burn))`` at each change of a rule's state:
+    firing once both burns reach ``threshold``, resolved once the fast burn
+    drops below it."""
+    firing = False
+    for t_s, fast_burn, slow_burn in zip(times, fast, slow):
+        if not firing and fast_burn >= threshold and slow_burn >= threshold:
+            firing = True
+            yield t_s, ("firing", fast_burn, slow_burn)
+        elif firing and fast_burn < threshold:
+            firing = False
+            yield t_s, ("resolved", fast_burn, slow_burn)
+
+
 class SLOMonitor:
     """Evaluates burn-rate rules over a committed report, deterministically.
 
@@ -359,58 +360,31 @@ class SLOMonitor:
         ticks = start_s + np.arange(1, num_ticks + 1) * self.tick_s
         tick_list = ticks.tolist()
         for name, stream in streams.items():
-            scope = f"tenant:{name}"
             for rule in self.rules:
                 fast = stream.burns(ticks, rule.fast_window_s)
                 slow = stream.burns(ticks, rule.slow_window_s)
                 if not np.any((fast >= rule.threshold) & (slow >= rule.threshold)):
                     continue  # never fires, so never resolves
-                firing = False
-                for t_s, fast_burn, slow_burn in zip(tick_list, fast.tolist(), slow.tolist()):
-                    if not firing:
-                        if fast_burn >= rule.threshold and slow_burn >= rule.threshold:
-                            firing = True
-                            events.append(
-                                AlertEvent(
-                                    t_s, scope, rule.name, rule.severity,
-                                    "firing", fast_burn, slow_burn,
-                                )
-                            )
-                    elif fast_burn < rule.threshold:
-                        firing = False
-                        events.append(
-                            AlertEvent(
-                                t_s, scope, rule.name, rule.severity,
-                                "resolved", fast_burn, slow_burn,
-                            )
-                        )
+                events += (
+                    AlertEvent(t_s, f"tenant:{name}", rule.name, rule.severity, *change)
+                    for t_s, change in _transitions(
+                        tick_list, fast.tolist(), slow.tolist(), rule.threshold
+                    )
+                )
 
-        firing: Dict[Tuple[str, str], bool] = {}
         # Fleet pressure over the windowed load series: the mean compute
         # utilization of each window, evaluated at the window's right edge.
         series = report.fleet.series if report.fleet is not None else None
         if series is not None and series.num_windows:
-            key = ("fleet", FLEET_PRESSURE_RULE)
-            for window, util in enumerate(series.mean_utilization("compute").tolist()):
-                t_s = (window + 1) * series.window_ms / 1000.0
-                end_s = max(end_s, t_s)
-                if not firing.get(key):
-                    if util >= self.utilization_threshold:
-                        firing[key] = True
-                        events.append(
-                            AlertEvent(
-                                t_s, "fleet", FLEET_PRESSURE_RULE, "ticket",
-                                "firing", util, util,
-                            )
-                        )
-                elif util < self.utilization_threshold:
-                    firing[key] = False
-                    events.append(
-                        AlertEvent(
-                            t_s, "fleet", FLEET_PRESSURE_RULE, "ticket",
-                            "resolved", util, util,
-                        )
-                    )
+            utils = series.mean_utilization("compute").tolist()
+            edges = [(window + 1) * series.window_ms / 1000.0 for window in range(len(utils))]
+            end_s = max([end_s] + edges)
+            events += (
+                AlertEvent(t_s, "fleet", FLEET_PRESSURE_RULE, "ticket", *change)
+                for t_s, change in _transitions(
+                    edges, utils, utils, self.utilization_threshold
+                )
+            )
         events.sort(key=lambda e: (e.t_s, e.scope, e.rule))
 
         if tracer is not None and getattr(tracer, "enabled", False):

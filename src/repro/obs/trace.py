@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from functools import cached_property
 from itertools import count, repeat
 from operator import itemgetter, methodcaller
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,14 +147,23 @@ class _TraceTable:
         dense[list(first.values())] = np.arange(len(first))
         block_rows = np.repeat(np.array(block_labels, dtype=np.intp), lengths)
         self.stream = dense[np.concatenate([labels, block_rows])]
-        self.ts = np.concatenate(
-            [np.fromiter(map(itemgetter(0), records), float, len(records))]
-            + [block.ts_ms for block in blocks]
+
+    def _column(self, name: str) -> np.ndarray:
+        records, get = self.records, itemgetter(TraceEvent._fields.index(name))
+        return np.concatenate(
+            [np.fromiter(map(get, records), float, len(records))]
+            + [getattr(block, name) for block in self.blocks]
         )
-        self.dur = np.concatenate(
-            [np.fromiter(map(itemgetter(4), records), float, len(records))]
-            + [block.dur_ms for block in blocks]
-        )
+
+    @cached_property
+    def ts(self) -> np.ndarray:
+        """Every row's ``ts_ms`` (built on first use)."""
+        return self._column("ts_ms")
+
+    @cached_property
+    def dur(self) -> np.ndarray:
+        """Every row's ``dur_ms`` (built on first use)."""
+        return self._column("dur_ms")
 
     def event(self, row: int) -> TraceEvent:
         """Row ``row`` as a :class:`TraceEvent`."""
@@ -205,33 +215,54 @@ class _TraceTable:
     def rows_by_stream(self, order: np.ndarray) -> List[np.ndarray]:
         """Per stream id, its rows in the sequence ``order`` lists them."""
         streams = self.stream[order]
-        grouped = order[np.argsort(streams, kind="stable")]
+        # A stable argsort of integers of 16 bits or fewer is a radix sort.
+        small = streams.astype(np.min_scalar_type(len(self.streams)))
+        grouped = order[np.argsort(small, kind="stable")]
         counts = np.bincount(streams, minlength=len(self.streams))
         return np.split(grouped, np.cumsum(counts)[:-1])
 
-    def arg_column(self, rows: np.ndarray, key: str) -> list:
-        """Arg ``key`` of each of ``rows``, :data:`_MISSING` where a row lacks it."""
-        values = np.full(len(rows), _MISSING, dtype=object)
+    def columns(self, rows: np.ndarray, fields=(), args=()) -> List[np.ndarray]:
+        """Per name in ``fields`` (``"ts_ms"``, ``"dur_ms"``), a float array of
+        that field of each of ``rows``; then per key in ``args``, that arg of
+        each row: floats if every row carries it, else an object array with
+        :data:`_MISSING` where a row lacks it."""
         is_record = rows < len(self.records)
-        if is_record.any():
-            args = map(itemgetter(5), map(self.records.__getitem__, rows[is_record].tolist()))
-            values[is_record] = _arg_values(list(args), key)
+        records = list(map(self.records.__getitem__, rows[is_record].tolist()))
         at = np.flatnonzero(~is_record)
         block_of = np.searchsorted(self.block_starts, rows[at], side="right") - 1
+        blocks = []
         for b in np.unique(block_of).tolist():
-            column = dict(self.blocks[b].args).get(key)
-            if column is not None:
-                sel = at[block_of == b]
-                values[sel] = column[rows[sel] - self.block_starts[b]]
-        return values.tolist()
+            sel = at[block_of == b]
+            blocks.append((self.blocks[b], sel, rows[sel] - self.block_starts[b]))
+        out = []
+        for name in fields:
+            values = np.empty(len(rows))
+            get = itemgetter(TraceEvent._fields.index(name))
+            values[is_record] = np.fromiter(map(get, records), float, len(records))
+            for block, sel, local in blocks:
+                values[sel] = getattr(block, name)[local]
+            out.append(values)
+        record_args = list(map(itemgetter(5), records)) if args else []
+        for key in args:
+            found, complete = _arg_values(record_args, key)
+            complete = complete and all(key in dict(block.args) for block, _, _ in blocks)
+            values = np.empty(len(rows)) if complete else np.full(len(rows), _MISSING, object)
+            values[is_record] = found
+            for block, sel, local in blocks:
+                column = dict(block.args).get(key)
+                if column is not None:
+                    values[sel] = column[local]
+            out.append(values)
+        return out
 
 
 #: Marks an arg a row does not carry.
 _MISSING = object()
 
 
-def _arg_values(args: List[tuple], key: str) -> list:
-    """``dict(pairs).get(key, _MISSING)`` for each args tuple in ``args``.
+def _arg_values(args: List[tuple], key: str) -> Tuple[list, bool]:
+    """``dict(pairs).get(key, _MISSING)`` for each args tuple in ``args``, and
+    whether every tuple carries ``key``.
 
     Fast path: the rows of one stream usually share their key layout, so
     when ``key`` sits at the same position in every tuple the values are
@@ -244,8 +275,9 @@ def _arg_values(args: List[tuple], key: str) -> list:
         except IndexError:
             pairs = None
         if pairs is not None and set(map(itemgetter(0), pairs)) == {key}:
-            return list(map(itemgetter(1), pairs))
-    return list(map(methodcaller("get", key, _MISSING), map(dict, args)))
+            return list(map(itemgetter(1), pairs)), True
+    values = list(map(methodcaller("get", key, _MISSING), map(dict, args)))
+    return values, _MISSING not in values
 
 
 class Tracer:
@@ -267,6 +299,10 @@ class Tracer:
         self._events: List[TraceEvent] = []
         self._pending_reports: List[object] = []
         self._blocks: List[_Block] = []
+        # The canonical views' shared work, kept until the trace changes (an
+        # emission, a deferred report or an `events` access drops them).
+        self._view: Optional[Tuple[_TraceTable, np.ndarray]] = None
+        self._sorted: Optional[List[TraceEvent]] = None
 
     def _lifecycle(self) -> List[_Block]:
         """Column blocks of every deferred report (each report converted once)."""
@@ -276,12 +312,17 @@ class Tracer:
                 self._blocks.extend(_lifecycle_blocks(report))
         return self._blocks
 
-    def _table(self) -> _TraceTable:
-        return _TraceTable(self._events, self._lifecycle())
+    def _canonical(self) -> Tuple[_TraceTable, np.ndarray]:
+        """The trace's table and its canonical row order (built once per change)."""
+        if self._view is None:
+            table = _TraceTable(self._events, self._lifecycle())
+            self._view = (table, table.canonical_order())
+        return self._view
 
     @property
     def events(self) -> List[TraceEvent]:
         """All events as records (materialises any derived lifecycle first)."""
+        self._view = self._sorted = None
         blocks = self._lifecycle()
         if blocks:
             self._blocks = []
@@ -294,6 +335,7 @@ class Tracer:
     # ------------------------------------------------------------------ #
     def instant(self, ts_ms: float, track: str, kind: str, name: str, **args) -> None:
         """Record a zero-duration event at ``ts_ms``."""
+        self._view = self._sorted = None
         self._events.append(
             TraceEvent(
                 ts_ms=float(ts_ms),
@@ -308,6 +350,7 @@ class Tracer:
         self, ts_ms: float, dur_ms: float, track: str, kind: str, name: str, **args
     ) -> None:
         """Record a duration span ``[ts_ms, ts_ms + dur_ms]``."""
+        self._view = self._sorted = None
         self._events.append(
             TraceEvent(
                 ts_ms=float(ts_ms),
@@ -327,6 +370,7 @@ class Tracer:
         serving run.
         """
         if self.enabled:
+            self._view = self._sorted = None
             self._pending_reports.append(report)
 
     # ------------------------------------------------------------------ #
@@ -337,10 +381,13 @@ class Tracer:
 
         The order is plain tuple order of :class:`TraceEvent` (field order
         is the key ``(ts, track, kind, name, dur, args)``), computed over
-        the columns by :meth:`_TraceTable.canonical_order`.
+        the columns by :meth:`_TraceTable.canonical_order`.  The records are
+        built once per change of the trace; each call returns a new list.
         """
-        table = self._table()
-        return list(map(table.events().__getitem__, table.canonical_order().tolist()))
+        if self._sorted is None:
+            table, order = self._canonical()
+            self._sorted = list(map(table.events().__getitem__, order.tolist()))
+        return list(self._sorted)
 
     def lines(self) -> List[str]:
         """Canonical byte serialisation, one line per event.
@@ -366,7 +413,7 @@ class Tracer:
         Perfetto ignores keys it does not know, and
         :func:`events_from_chrome` skips it on re-import.
         """
-        table = self._table()
+        table, order = self._canonical()
         layout = _track_layout({track for track, _, _ in table.streams})
         trace_events: List[Dict] = []
         named_pids = {pid: name for _, pid, name in _TRACK_PIDS}
@@ -404,7 +451,8 @@ class Tracer:
                 repeat(block.name), repeat(block.kind), block.ts_ms, block.dur_ms,
                 repeat(layout[block.track]), map(dict, block.arg_rows()),
             )
-        trace_events.extend(map(rows.__getitem__, table.canonical_order().tolist()))
+        for at in range(0, len(order), 4096):  # a short row-id list at a time
+            trace_events.extend(map(rows.__getitem__, order[at:at + 4096].tolist()))
         chrome: Dict = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
         if provenance is not None:
             chrome["provenance"] = provenance

@@ -18,9 +18,10 @@ it in three complementary ways:
    tests, which is what allows DDPG/LC-PSS/OSDS to route through this path
    without changing a single reported number.
 
-2. **Compiled plans.**  Array scheduling only pays off across plans, and on
-   a dynamic network every request is a group of one.  A singleton group
-   walks its :class:`CompiledPlan` instead: the transfers, I/O overheads,
+2. **Compiled plans.**  Array scheduling only pays off across enough
+   plans, and on a dynamic network every request is a group of one.  A
+   group below the measured crossover (:func:`_walks_group`) walks each
+   plan's :class:`CompiledPlan` instead: the transfers, I/O overheads,
    local-overlap flags and part durations of one plan, built once and kept
    in an LRU keyed on ``(model, plan structure)``, walked at the one link
    rate vector sampled for the evaluation instant.  The contention-aware
@@ -52,6 +53,7 @@ them as immutable.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice, repeat
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -76,7 +78,7 @@ from repro.runtime.oracles import (
     ProfileComputeOracle,
     unwrap_oracle,
 )
-from repro.runtime.plan import DistributionPlan, redistribution_bytes
+from repro.runtime.plan import DistributionPlan
 from repro.utils.cache import LRUCache
 from repro.utils.units import FP16_BYTES, MBPS
 
@@ -133,6 +135,67 @@ def _required_rows_vec(
     lo = np.maximum(out_lo * layer.stride - layer.padding, 0)
     hi = np.minimum((out_hi - 1) * layer.stride - layer.padding + layer.kernel, layer.in_h)
     return np.where(empty, 0, lo), np.where(empty, 0, hi)
+
+
+def _walks_group(devices: int, volumes: int, plans: int) -> bool:
+    """Whether a group of ``plans`` sharing boundaries walks compiled plans.
+
+    The array sweep books every (source, destination) pair of every volume
+    whatever the group size, while a walk books only its own plan's
+    transfers, so the group size where the sweep starts to win grows with
+    the devices, and with the volumes.  Measured cold (fresh evaluator,
+    vgg16 on ``gen:n=N`` fleets at seed 17, random splits sharing the
+    boundaries, groups compiled together; median of 7 on a 2-vCPU VM),
+    sweep time over walk time, below 1 where the sweep wins:
+
+    ======= ======= ===== ===== ==== ==== ==== ==== ==== ==== ====
+    devices volumes k=2   3     4    6    8    12   16   32   64
+    ======= ======= ===== ===== ==== ==== ==== ==== ==== ==== ====
+    4       3       1.38  1.37  1.33 1.14 1.08 0.93 0.79 0.57 0.41
+    4       6       1.50  1.54  1.51 1.37 1.18 1.04 0.93 0.55 0.42
+    4       18      2.11  1.79  1.75 1.53 1.34 1.49 0.99 0.48 0.51
+    8       3       2.29  2.50  2.78 1.74 1.46 1.34 1.15 0.64 0.40
+    8       6       3.11  2.59  1.92 2.05 2.06 1.46 1.20 0.69 0.80
+    8       18      4.43  3.77  3.38 2.44 2.09 0.84 1.80 1.00 0.57
+    16      3       4.44  4.03  3.63 2.95 2.49 3.01 1.52 0.41 0.48
+    16      6       6.94  8.57  3.99 4.86 2.21 2.52 1.74 1.09 0.53
+    16      18      8.91  8.75  5.46 3.91 4.36 2.73 2.35 1.15 0.41
+    32      3       12.31 7.77  5.93 5.26 4.45 3.04 2.60 1.46 0.69
+    32      6       10.38 9.83  6.87 3.24 5.82 3.36 3.43 1.71 1.00
+    32      18      15.46 13.93 8.98 7.99 5.84 4.95 3.25 1.60 1.03
+    ======= ======= ===== ===== ==== ==== ==== ==== ==== ==== ====
+
+    Groups smaller than ``1.5 * devices + volumes`` walk (measured on 4 to
+    32 devices only).  Sparse plans favour the sweep, whose masks skip idle
+    devices: groups of the single-device plans of every provider (one
+    volume) read 0.87, 1.15 and 0.72 at 4, 16 and 32 devices.
+    """
+    return plans < 1.5 * devices + volumes
+
+
+def _volume_rows(volume: LayerVolume, cuts: np.ndarray):
+    """Row arithmetic of one volume's parts under ``(batch, devices - 1)``
+    cut points: ``(out_lo, out_hi, ranges, in_lo, in_hi)``, with per-sub-layer
+    output ranges and the input rows each part needs (the exact VSL
+    arithmetic, element for element the scalar :class:`SplitPart`'s)."""
+    batch = cuts.shape[0]
+    edges = np.concatenate(
+        [
+            np.zeros((batch, 1), dtype=np.int64),
+            cuts,
+            np.full((batch, 1), volume.output_height, dtype=np.int64),
+        ],
+        axis=1,
+    )
+    out_lo, out_hi = edges[:, :-1], edges[:, 1:]
+    layers = list(volume.layers)
+    ranges: List[Tuple[np.ndarray, np.ndarray]] = [(out_lo, out_hi)] * len(layers)
+    lo, hi = out_lo, out_hi
+    for i in range(len(layers) - 1, 0, -1):
+        lo, hi = _required_rows_vec(layers[i], lo, hi)
+        ranges[i - 1] = (lo, hi)
+    in_lo, in_hi = _required_rows_vec(layers[0], ranges[0][0], ranges[0][1])
+    return out_lo, out_hi, ranges, in_lo, in_hi
 
 
 class BatchPlanEvaluator(PlanEvaluator):
@@ -218,11 +281,20 @@ class BatchPlanEvaluator(PlanEvaluator):
 
     def compiled_plan(self, plan: DistributionPlan) -> CompiledPlan:
         """The :class:`CompiledPlan` of ``plan`` on this evaluator (LRU-cached)."""
-        key = (self._model_token(plan.model), plan_signature(plan))
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            compiled = CompiledPlan(self, plan)
-            self._compiled.put(key, compiled)
+        return self.compiled_plans([plan])[0]
+
+    def compiled_plans(self, plans: Sequence[DistributionPlan]) -> List[CompiledPlan]:
+        """The compiled plans of ``plans``, which share model and boundaries
+        (LRU-cached); the missing ones are built together."""
+        keys = [(self._model_token(plan.model), plan_signature(plan)) for plan in plans]
+        compiled = [self._compiled.get(key) for key in keys]
+        missing = [i for i, c in enumerate(compiled) if c is None]
+        if missing:
+            group = [plans[i] for i in missing]
+            built = map(CompiledPlan, repeat(self), group, _compile_group(self, group))
+            for i, c in zip(missing, built):
+                self._compiled.put(keys[i], c)
+                compiled[i] = c
         return compiled
 
     # ------------------------------------------------------------------ #
@@ -329,19 +401,24 @@ class BatchPlanEvaluator(PlanEvaluator):
         would produce.  ``net_sig`` is the rate vector already sampled at
         ``t_seconds``.
         """
-        if len(plans) == 1:
-            # Array scheduling only pays off across plans; a singleton group
-            # walks its compiled plan at the sampled rates (bit-identical to
-            # the scalar walk), whose build populated the per-part memo.
-            plan = plans[0]
-            state = ScheduleState(lanes=LaneSet(), data_ready_ms={}, prev_parts=None)
-            return [self.compiled_plan(plan).run(state, net_sig, plan.method)]
-        prof = self.profiler
-        sweep_start = perf_counter() if prof.enabled else 0.0
         model = plans[0].model
         volumes = plans[0].volumes
         batch = len(plans)
         n = len(self.devices)
+        if _walks_group(n, len(volumes), batch):
+            # Array scheduling only pays off across enough plans; a smaller
+            # group walks each plan's compiled plan at the sampled rates
+            # (bit-identical to the scalar walk), whose build populated the
+            # per-part memo.
+            return [
+                compiled.run(
+                    ScheduleState(lanes=LaneSet(), data_ready_ms={}, prev_parts=None),
+                    net_sig, plan.method,
+                )
+                for compiled, plan in zip(self.compiled_plans(plans), plans)
+            ]
+        prof = self.profiler
+        sweep_start = perf_counter() if prof.enabled else 0.0
         scheduler = BatchVolumeScheduler(self, model, volumes, batch, t_seconds)
         for l in range(len(volumes)):
             cuts = np.array(
@@ -457,6 +534,70 @@ class BatchPlanEvaluator(PlanEvaluator):
         return total
 
 
+def _compile_group(evaluator: BatchPlanEvaluator, plans: Sequence[DistributionPlan]) -> List[list]:
+    """What :class:`CompiledPlan` needs of each of ``plans`` (which share
+    model and boundaries), computed for the group together: per volume, the
+    non-empty flags, part durations, local-overlap flags and ``(source,
+    destination, bytes)`` transfers of each plan.
+
+    Per volume, one call of the array sweep's
+    :meth:`BatchPlanEvaluator._part_durations` (which also seeds the
+    per-part memo) gives every part duration of the group, and one array
+    program every redistribution: the entries of
+    :func:`~repro.runtime.plan.redistribution_bytes` in its order
+    (destination, then source ascending), in memory linear in plans and
+    devices.
+    """
+    n = len(evaluator.devices)
+    per_plan: List[list] = [[] for _ in plans]
+    prev = None  # the previous volume's (out_lo, out_hi, non-empty)
+    for index, volume in enumerate(plans[0].volumes):
+        cuts = np.array([plan.decisions[index].cuts for plan in plans], dtype=np.int64)
+        out_lo, out_hi, ranges, in_lo, in_hi = _volume_rows(volume, cuts.reshape(len(plans), n - 1))
+        held = out_hi > out_lo
+        durations = evaluator._part_durations(plans, index, volume, ranges, held)
+        if prev is None:
+            # The first volume's scatter: the dict PlanEvaluator builds,
+            # zero-byte entries included.
+            elements = volume.first.in_w * volume.first.in_c
+            rows = np.maximum(in_hi - in_lo, 0)
+            scatter = np.rint(rows * elements * evaluator.input_bytes_per_element)
+            plan_of, dsts = np.nonzero(held)
+            transfers = zip(
+                repeat(REQUESTER), dsts.tolist(),
+                scatter[plan_of, dsts].astype(np.int64).tolist(),
+            )
+            local = np.zeros_like(held)
+        else:
+            prev_lo, prev_hi, prev_held = prev
+            local = prev_held & (np.minimum(in_hi, prev_hi) > np.maximum(in_lo, prev_lo))
+            # Parts hold contiguous rows in device order, so the sources a part
+            # needs rows from are one run of devices, found by binary search;
+            # shifting each plan's rows past the last plan's keeps one sorted axis.
+            shift = np.arange(len(plans))[:, None] * (int(prev_hi.max()) + int(in_hi.max()) + 1)
+            first = np.searchsorted((prev_hi + shift).ravel(), (in_lo + shift).ravel(), "right")
+            stop = np.searchsorted((prev_lo + shift).ravel(), (in_hi + shift).ravel(), "left")
+            runs = np.where(held.ravel(), np.maximum(stop - first, 0), 0)
+            # Flat (plan, destination) and (plan, source) indices of each candidate.
+            need = np.repeat(np.arange(runs.size), runs)
+            have = first[need] + np.arange(need.size) - np.repeat(np.cumsum(runs) - runs, runs)
+            rows = np.minimum(in_hi.ravel()[need], prev_hi.ravel()[have]) - np.maximum(
+                in_lo.ravel()[need], prev_lo.ravel()[have]
+            )
+            move = (rows > 0) & prev_held.ravel()[have] & (need != have)
+            plan_of, dsts, srcs = need[move] // n, need[move] % n, have[move] % n
+            row_bytes = volume.first.in_w * volume.first.in_c * FP16_BYTES
+            transfers = zip(srcs.tolist(), dsts.tolist(), (rows[move] * row_bytes).tolist())
+        counts = np.bincount(plan_of, minlength=len(plans)).tolist()
+        for b, count in enumerate(counts):
+            per_plan[b].append((
+                held[b].tolist(), durations[b].tolist(), local[b].tolist(),
+                list(islice(transfers, count)),
+            ))
+        prev = (out_lo, out_hi, held)
+    return per_plan
+
+
 #: One transfer of a compiled plan: ``(source endpoint, bytes, I/O overhead ms)``.
 Transfer = Tuple[int, int, float]
 
@@ -473,7 +614,9 @@ class CompiledPlan:
     source ascending) with their byte counts and source-link I/O overheads
     ``io_fixed + bytes / io_bps * 1000``, the local-overlap flag and the
     oracle's part duration; and for the last stage the gather, head-compute
-    and result-return records.
+    and result-return records.  The plans of one walked group are compiled
+    together (:func:`_compile_group`), with the array sweep's own part
+    durations.
 
     :meth:`run` walks those records over a
     :class:`~repro.runtime.evaluator.ScheduleState`'s lanes at one sampled
@@ -503,21 +646,26 @@ class CompiledPlan:
         "computers",
     )
 
-    def __init__(self, evaluator: PlanEvaluator, plan: DistributionPlan) -> None:
+    def __init__(
+        self, evaluator: BatchPlanEvaluator, plan: DistributionPlan, volumes=None
+    ) -> None:
+        """``volumes`` is ``plan``'s entry of :func:`_compile_group`, when the
+        plan is compiled with others."""
+        if volumes is None:
+            (volumes,) = _compile_group(evaluator, [plan])
         n = len(evaluator.devices)
-        network = evaluator.network
         oracle = evaluator.oracle
         self.num_devices = n
         #: Endpoints whose send / receive / compute lane the walk books.
         senders, receivers, computers = set(), set(), set()
+        # Source-link transmission constants (the requester's last, at -1).
+        io_fixed, io_bps = evaluator._io_fixed.tolist(), evaluator._io_bps.tolist()
 
         def transfer(src: int, dst: int, n_bytes: int) -> Transfer:
             if n_bytes > 0:
                 senders.add(src)
                 receivers.add(dst)
-            model = network.link_of(src).model
-            io = model.io_fixed_ms + n_bytes / model.io_bytes_per_second * 1000.0
-            return (src, n_bytes, io)
+            return (src, n_bytes, io_fixed[src] + n_bytes / io_bps[src] * 1000.0)
 
         #: Per volume, per device: ``None`` for an empty part, else
         #: ``(incoming transfers, holds overlapping rows locally, duration)``.
@@ -525,52 +673,29 @@ class CompiledPlan:
         self.recv_bytes: List[np.ndarray] = []
         self.compute_ms: List[np.ndarray] = []
         compute_total = np.zeros(n)
-        prev_parts = None
-        for assignment in plan.assignments:
-            volume, parts = assignment.volume, assignment.parts
-            if prev_parts is None:
-                # The first volume's scatter: the same dict PlanEvaluator
-                # builds, zero-byte entries included.
-                in_w, in_c = volume.first.in_w, volume.first.in_c
-                transfers = {
-                    (REQUESTER, p.device_index): int(
-                        round(p.num_input_rows * in_w * in_c * evaluator.input_bytes_per_element)
-                    )
-                    for p in parts
-                    if not p.is_empty
-                }
-            else:
-                row_bytes = volume.first.in_w * volume.first.in_c * FP16_BYTES
-                transfers = redistribution_bytes(prev_parts, parts, row_bytes)
+        for held, durations, local, moves in volumes:
             incoming: List[List[Transfer]] = [[] for _ in range(n)]
-            for (src, dst), n_bytes in transfers.items():
+            for src, dst, n_bytes in moves:
                 incoming[dst].append(transfer(src, dst, n_bytes))
             records: List[Optional[Tuple[Tuple[Transfer, ...], bool, float]]] = []
             recv_bytes = np.zeros(n)
             compute = np.zeros(n)
-            for part in parts:
-                j = part.device_index
-                if part.is_empty:
+            for j in range(n):
+                if not held[j]:
                     records.append(None)
                     continue
                 for _, n_bytes, _ in incoming[j]:
                     recv_bytes[j] += n_bytes
-                local = False
-                if prev_parts is not None and not prev_parts[j].is_empty:
-                    need_lo, need_hi = part.in_rows
-                    have_lo, have_hi = prev_parts[j].out_rows
-                    local = min(need_hi, have_hi) > max(need_lo, have_lo)
-                duration = oracle.part_latency_ms(j, volume, part)
+                duration = durations[j]
                 compute[j] = duration
                 compute_total[j] += duration
                 computers.add(j)
-                records.append((tuple(incoming[j]), local, duration))
+                records.append((tuple(incoming[j]), local[j], duration))
             self.volumes.append(records)
             self.recv_bytes.append(recv_bytes)
             self.compute_ms.append(compute)
-            prev_parts = parts
 
-        last = [p for p in prev_parts if not p.is_empty]
+        last = [p for p in plan.assignment(-1).parts if not p.is_empty]
         head_layers = plan.model.head_layers
         self.head_device: Optional[int] = None
         self.gather: Tuple[Transfer, ...] = ()
@@ -855,26 +980,8 @@ class BatchVolumeScheduler:
         prev_nonempty = self.prev_nonempty
 
         cuts = np.asarray(cuts, dtype=np.int64).reshape(batch, n - 1)
-        height = volume.output_height
-        edges = np.concatenate(
-            [
-                np.zeros((batch, 1), dtype=np.int64),
-                cuts,
-                np.full((batch, 1), height, dtype=np.int64),
-            ],
-            axis=1,
-        )
-        out_lo, out_hi = edges[:, :-1], edges[:, 1:]
+        out_lo, out_hi, ranges, in_lo, in_hi = _volume_rows(volume, cuts)
         nonempty = out_hi > out_lo
-
-        # Per-sub-layer output row ranges (the exact VSL arithmetic).
-        layers = list(volume.layers)
-        ranges: List[Tuple[np.ndarray, np.ndarray]] = [(out_lo, out_hi)] * len(layers)
-        lo, hi = out_lo, out_hi
-        for i in range(len(layers) - 1, 0, -1):
-            lo, hi = _required_rows_vec(layers[i], lo, hi)
-            ranges[i - 1] = (lo, hi)
-        in_lo, in_hi = _required_rows_vec(layers[0], ranges[0][0], ranges[0][1])
 
         # ---- transfers, in the scalar evaluator's canonical order ---- #
         arrival = np.zeros((batch, n))

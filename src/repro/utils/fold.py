@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 
 def fold_sum(values: Iterable[float]) -> float:
     """Left-to-right sum from ``0.0``: the rounding of a ``+=`` loop.
@@ -18,3 +20,9 @@ def fold_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def fold_array(values: np.ndarray, start: float = 0.0) -> float:
+    """:func:`fold_sum` of a float array, from ``start``, in one C pass (a
+    cumulative sum adds left to right)."""
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import CoEdgePlanner
+from repro.baselines import BASELINE_REGISTRY, CoEdgePlanner
 from repro.core.online import PeriodicReplanController
 from repro.devices.specs import make_cluster
+from repro.experiments.scenarios import generate_scenario
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.runtime.batch import BatchPlanEvaluator
@@ -145,6 +146,33 @@ class TestParity:
         adaptive = report.tenant("adaptive")
         assert adaptive.replan_times_s, "the controller never replanned; test is vacuous"
         assert adaptive.final_method == "coedge"
+
+    def test_generated_32_device_fleet_baseline_plans(self):
+        """The four baseline plans of the serve benchmarks, on their 32-device
+        fleet: the array engine (whose cold evaluation walks the three plans
+        sharing boundaries as one small group) against the reference loop,
+        attribution and alerts included."""
+        devices, network = generate_scenario(32, seed=17).build(seed=17)
+        vgg16 = model_zoo.get("vgg16")
+        methods = ("coedge", "modnn", "mednn", "offload")
+        plans = {m: BASELINE_REGISTRY[m]().plan(vgg16, devices, network) for m in methods}
+        tenants = [
+            TenantSpec(
+                f"{methods[i % 4]}-{i}",
+                plans[methods[i % 4]],
+                traffic=PoissonArrivals(2.0, seed=1000 + i),
+                slo=SLO(deadline_ms=500.0),
+            )
+            for i in range(8)
+        ]
+        report = run_with_parity(
+            BatchPlanEvaluator(devices, network),
+            PlanEvaluator(devices, network),
+            tenants,
+            duration_s=10.0,
+            compare_analysis=True,
+        )
+        assert all(tenant.num_completed for tenant in report.tenants)
 
     def test_parity_rejects_bare_stateful_hooks(self, model):
         devices = make_cluster([("nano", 100), ("nano", 100)])
