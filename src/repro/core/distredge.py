@@ -136,11 +136,7 @@ class DistrEdge:
         offload_plans = [
             DistributionPlan.single_device(model, devices, idx) for idx in range(num_devices)
         ]
-        if hasattr(evaluator, "evaluate_plans"):
-            offload_results = evaluator.evaluate_plans(offload_plans)
-        else:
-            offload_results = [evaluator.evaluate(plan) for plan in offload_plans]
-        offload_latencies = [r.end_to_end_ms for r in offload_results]
+        offload_latencies = [r.end_to_end_ms for r in evaluator.evaluate_plans(offload_plans)]
         best_idx = min(range(num_devices), key=offload_latencies.__getitem__)
         single: List[np.ndarray] = []
         for volume in volumes:

@@ -168,11 +168,8 @@ class SplitMDP:
         if not plans:
             return 1000.0
         # One vectorised (and cached — the heuristic seeds evaluate the same
-        # offload plans) call when the evaluator supports the batch path.
-        if hasattr(self.evaluator, "evaluate_plans"):
-            results = self.evaluator.evaluate_plans(plans)
-        else:
-            results = [self.evaluator.evaluate(plan) for plan in plans]
+        # offload plans) call on a batch evaluator.
+        results = self.evaluator.evaluate_plans(plans)
         return float(min(r.end_to_end_ms for r in results))
 
     # ------------------------------------------------------------------ #

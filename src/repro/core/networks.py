@@ -22,13 +22,14 @@ overwritten) and fills it through views with ``np.matmul(..., out=)`` /
 copies) never allocate one.
 
 Float promotion.  Adam's bias-corrected step size ``lr_t`` is an
-``np.float64`` scalar.  Under NumPy 2 promotion ``lr_t * m / (sqrt(v) + eps)``
-is therefore computed in float64 and rounded to float32 only by ``p -= ...``;
-under NumPy 1's value-based promotion it stays float32.  The scratch for that
-step takes its dtype from ``np.result_type(lr_t, m)`` at run time, so either
-rule gives exactly the floats of the plain expression.  Every other product
-(the moment updates, the Polyak mix) has a Python-float factor and rounds in
-float32 under both rules.
+``np.float64`` scalar.  Under NumPy 2 promotion (NEP 50; ``numpy>=2.0`` is
+the package's floor) ``lr_t * m / (sqrt(v) + eps)`` is therefore computed in
+float64 and rounded to float32 only by ``p -= ...``.  The scratch for that
+step takes its dtype from ``np.result_type(lr_t, m)``, so it gives exactly
+the floats of the plain expression.  NumPy 1's value-based promotion kept
+that step in float32, so its ``plan`` floats differ, which is why NumPy 1.x
+is not supported.  Every other product (the moment updates, the Polyak mix)
+has a Python-float factor and rounds in float32.
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ class OSDS:
         hit returning the bit-identical float.
         """
         evaluator = self.env.evaluator
-        if not seeds or not hasattr(evaluator, "evaluate_plans"):
+        if not seeds:
             return
         plans = []
         for actions in seeds:

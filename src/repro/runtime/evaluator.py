@@ -361,6 +361,22 @@ class PlanEvaluator:
             self.process_volume(state, assignment, t_seconds)
         return self.finalize(state, plan, t_seconds)
 
+    def evaluate_plans(
+        self,
+        plans: Sequence[DistributionPlan],
+        t_seconds: float = 0.0,
+        rates: Optional[Tuple[float, ...]] = None,
+    ) -> List[EvaluationResult]:
+        """Evaluate a batch of plans at ``t_seconds``, in input order.
+
+        The batch interface every evaluator answers: here one
+        :meth:`evaluate` per plan, which
+        :class:`~repro.runtime.batch.BatchPlanEvaluator` vectorises bit for
+        bit.  ``rates`` (the network-state signature at ``t_seconds``, when
+        the caller already sampled it) is implied by ``t_seconds``.
+        """
+        return [self.evaluate(plan, t_seconds) for plan in plans]
+
     def ips(self, plan: DistributionPlan, t_seconds: float = 0.0) -> float:
         """Convenience wrapper returning images-per-second for a plan."""
         return self.evaluate(plan, t_seconds).ips

@@ -34,6 +34,7 @@ identical verdicts in identical order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -150,8 +151,7 @@ class FaultTrace:
     def live_indices(self, t_ms: float) -> Tuple[int, ...]:
         """Sorted tuple of live device indices at time ``t_ms`` (events at
         ``t_ms`` already applied) — also the churn component of cache keys."""
-        times: Tuple[float, ...] = self._seg_times  # type: ignore[attr-defined]
-        idx = int(np.searchsorted(np.asarray(times), t_ms, side="right")) - 1
+        idx = bisect_right(self._seg_times, t_ms) - 1  # type: ignore[attr-defined]
         return self._seg_live[max(idx, 0)]  # type: ignore[attr-defined]
 
     def live_fraction(self, t_ms: float) -> float:
@@ -562,11 +562,15 @@ class PlanDegrader:
 
     Both serving loops of one run share a single instance, so the same
     ``DistributionPlan`` object is reused for repeated (plan, live-set)
-    queries and downstream identity-keyed latency caches stay warm.
+    queries and downstream identity-keyed latency caches stay warm.  The
+    device set each plan touches (the crash test's input) is cached beside
+    it: computing it walks every assignment, far dearer than a dispatch of
+    a churn-free run.
     """
 
     def __init__(self) -> None:
         self._cache: Dict[Tuple[int, Tuple[int, ...]], DistributionPlan] = {}
+        self._devices: Dict[int, FrozenSet[int]] = {}
         self._keep: List[DistributionPlan] = []  # pin id() keys alive
 
     def effective_plan(self, plan: DistributionPlan, live: Tuple[int, ...]) -> DistributionPlan:
@@ -577,6 +581,14 @@ class PlanDegrader:
             self._cache[key] = hit
             self._keep.append(plan)
         return hit
+
+    def devices(self, plan: DistributionPlan) -> FrozenSet[int]:
+        """:func:`plan_devices` of ``plan``, computed once per plan."""
+        touched = self._devices.get(id(plan))
+        if touched is None:
+            touched = self._devices[id(plan)] = plan_devices(plan)
+            self._keep.append(plan)
+        return touched
 
 
 # ---------------------------------------------------------------------- #
@@ -624,12 +636,16 @@ def resolve_faulted_request(
     """
     start_ms = start_s * 1000.0
     t_ms = start_ms
+    # The first attempt is evaluated at the dispatch's own start: a
+    # (start_s * 1000) / 1000 round trip is off by an ulp for ~2% of starts,
+    # which on an interpolated trace can move the sampled rate.
+    t_s = start_s
     attempt = 1
     lost = 0
     while True:
         eff = degrader.effective_plan(plan, trace.live_indices(t_ms))
-        lat = latency_of(eff, t_ms / 1000.0)
-        crash = trace.first_crash_touching(plan_devices(eff), t_ms, t_ms + lat)
+        lat = latency_of(eff, t_s)
+        crash = trace.first_crash_touching(degrader.devices(eff), t_ms, t_ms + lat)
         if crash is None:
             # First-attempt completions return the oracle's float untouched —
             # a (t_ms + lat) - start_ms round trip would cost an ulp and
@@ -658,6 +674,7 @@ def resolve_faulted_request(
                 attempts=attempt,
             )
         t_ms = next_ms
+        t_s = t_ms / 1000.0
         attempt += 1
 
 
@@ -694,12 +711,14 @@ def build_fault_context(
     weights: Sequence[float],
     start_s: float,
     duration_s: Optional[float],
-) -> Optional[FaultContext]:
+) -> FaultContext:
     """Resolve the churn arguments of one serving run into a context.
 
-    ``None`` faults means an immortal fleet — then retry/degradation
-    policies are meaningless and rejected (mirroring how contention knobs
-    require ``--contention``).
+    ``None`` faults means an immortal fleet: the context holds the empty
+    trace, the default retry policy and no shedding, so every loop runs its
+    one churn-aware path and no fault ever fires.  Retry/degradation
+    policies are meaningless there and rejected (mirroring how contention
+    knobs require ``--contention``).
     """
     if faults is None:
         if retry is not None or degradation is not None:
@@ -707,8 +726,9 @@ def build_fault_context(
                 "RetryPolicy/DegradationPolicy model fleet churn; "
                 "pass faults (a churn: spec or FaultTrace) to enable them"
             )
-        return None
-    trace = resolve_churn(faults, num_devices)
+        trace = FaultTrace((), num_devices)
+    else:
+        trace = resolve_churn(faults, num_devices)
     horizon_s = (
         start_s + duration_s
         if duration_s is not None

@@ -49,16 +49,18 @@ mixed workloads stay correct and only the tenants that need the slow path
 pay for it.  Both loops keep every tenant at its position in the caller's
 list, which the churn shed intervals and retry jitter are indexed by.
 
-Fleet churn (:mod:`repro.runtime.faults`) rides the same machinery: the
-fault-aware loop bounds every speculation window at the next membership
-event — a request commits speculatively only when its whole service span
-fits strictly inside the current liveness segment — and a head request
-crossing that barrier is rolled back and resolved through the shared scalar
-retry-chain walk (:func:`~repro.runtime.faults.resolve_faulted_request`),
-so mid-inference crashes, retries and abandonments land bit-identically to
-the reference loop's verdicts.  Each head is evaluated on its own: under
-churn the effective plans rarely share a group, and a compiled singleton
-walk beats a 2–4 plan array sweep.
+Fleet churn (:mod:`repro.runtime.faults`) rides the same machinery, and a
+churn-free run is the empty fault trace, so there is one epoch loop: every
+head runs on its effective plan for the live set at its start, every
+speculation window stops at the next membership event — a request commits
+speculatively only when its whole service span fits strictly inside the
+current liveness segment — and a head request crossing that barrier is
+rolled back and resolved through the shared scalar retry-chain walk
+(:func:`~repro.runtime.faults.resolve_faulted_request`), so mid-inference
+crashes, retries and abandonments land bit-identically to the reference
+loop's verdicts.  Churned heads sharing a network state are evaluated in
+one ``evaluate_plans`` call like any others; a small group walks its
+compiled plans, a large one runs the array sweep.
 
 Shared-fleet contention (a :class:`~repro.serving.dispatch.ClusterPolicy`)
 keeps its canonical sequential dispatch order by construction — the
@@ -85,6 +87,7 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.batch import network_state_signature, network_state_signatures
 from repro.runtime.faults import (
     FaultContext,
+    FaultTrace,
     emit_resolution,
     resolve_faulted_request,
 )
@@ -131,7 +134,7 @@ class _VectorTenant:
         spec: TenantSpec,
         start_s: float,
         duration_s: Optional[float],
-        shed_intervals: Optional[List[Tuple[float, float]]] = None,
+        shed_intervals: Sequence[Tuple[float, float]],
     ) -> None:
         self.spec = spec
         self.start_s = float(start_s)
@@ -260,7 +263,7 @@ class _VectorTenant:
         signature: Signature,
         static: bool,
         network,
-        trace=None,
+        trace: FaultTrace,
     ) -> int:
         """Commit one speculation window; returns how many requests landed.
 
@@ -272,21 +275,21 @@ class _VectorTenant:
         discarded.  The first rolled-back row is the next head's signature,
         kept in :attr:`next_signature`.
 
-        On a churning fleet (``trace``) a request may only commit
-        speculatively when it *starts* strictly before the next membership
-        event and *completes* at or before it (a crash exactly at the
-        completion tick does not kill — the open-interval rule of
-        :meth:`FaultTrace.first_crash_touching`).  Inside such a window the
-        live set, the effective plan and the crash verdict ("none") are
-        constant, so the scalar retry-chain walk would resolve every request
-        to exactly this latency — the window commit is the resolver, batched.
+        A request may only commit speculatively when it *starts* strictly
+        before the fault trace's next membership event and *completes* at or
+        before it (a crash exactly at the completion tick does not kill —
+        the open-interval rule of :meth:`FaultTrace.first_crash_touching`).
+        Inside such a window the live set, the effective plan and the crash
+        verdict ("none") are constant, so the scalar retry-chain walk would
+        resolve every request to exactly this latency — the window commit is
+        the resolver, batched.  On the empty trace there is no barrier.
         Returns 0 when the head request itself crosses the barrier; the
         engine then resolves it through :func:`resolve_faulted_request` and
         commits it via :meth:`commit_resolved_head`.
         """
         remaining = self.capacity - self.committed
         i0 = self.committed
-        barrier_ms = None if trace is None else trace.next_event_after(self.peek_start() * 1000.0)
+        barrier_ms = trace.next_event_after(self.peek_start() * 1000.0)
         window = remaining if static else min(self.window, remaining)
         snapshot = (self.committed, list(self.slots), self.truncated)
         count = self._scan(window, latency_ms)
@@ -470,9 +473,11 @@ class _VectorTenant:
 class ArrayServingEngine:
     """Drives the column tenants through the vectorised time-wheel.
 
-    Constructed on the same batch-capable evaluator as the simulator
-    (:class:`~repro.runtime.batch.BatchPlanEvaluator`).  Use it via
-    ``ServingSimulator.run`` — every batched run without a cluster policy
+    Constructed on the simulator's evaluator: any
+    :class:`~repro.runtime.evaluator.PlanEvaluator` answers the engine's
+    ``evaluate_plans`` calls, and a
+    :class:`~repro.runtime.batch.BatchPlanEvaluator` vectorises them.  Use
+    it via ``ServingSimulator.run`` — every batched run without a cluster policy
     lands here, after the simulator has validated the arguments.
     """
 
@@ -483,9 +488,9 @@ class ArrayServingEngine:
     def run(
         self,
         tenants: Sequence[TenantSpec],
-        duration_s: Optional[float] = None,
-        start_s: float = 0.0,
-        fault_ctx: Optional[FaultContext] = None,
+        duration_s: Optional[float],
+        start_s: float,
+        fault_ctx: FaultContext,
         tracer: Tracer = NULL_TRACER,
     ) -> Tuple[List[Optional[TenantReport]], int, int, int]:
         """Serve the :func:`vectorizable` tenants on the array time-wheel.
@@ -493,9 +498,8 @@ class ArrayServingEngine:
         Returns ``(reports, epochs, cache_hits, speculated)``; ``reports``
         is aligned with ``tenants`` and holds ``None`` for every tenant the
         simulator's scalar loop serves instead.  ``fault_ctx`` (built by the
-        simulator) switches on fleet churn: the run moves to the fault-aware
-        epoch loop, whose speculation windows are additionally bounded by
-        the fault trace's membership events.
+        simulator; its trace is empty when the fleet does not churn) bounds
+        the speculation windows at the fleet's membership events.
         """
         prof = self.profiler
         run_start = perf_counter() if prof.enabled else 0.0
@@ -503,25 +507,16 @@ class ArrayServingEngine:
         static_sig = network_state_signature(network, start_s) if network.is_static else None
         vectors: List[Optional[_VectorTenant]] = [
             (
-                _VectorTenant(
-                    spec,
-                    start_s,
-                    duration_s,
-                    shed_intervals=None if fault_ctx is None else fault_ctx.shed_intervals[i],
-                )
+                _VectorTenant(spec, start_s, duration_s, fault_ctx.shed_intervals[i])
                 if vectorizable(spec)
                 else None
             )
             for i, spec in enumerate(tenants)
         ]
-        if fault_ctx is None:
-            epochs, cache_hits, speculated = self._epochs(vectors, static_sig)
-        else:
-            epochs, cache_hits, speculated = self._epochs_faulted(vectors, static_sig, fault_ctx, tracer)
+        epochs, cache_hits, speculated = self._epochs(vectors, static_sig, fault_ctx, tracer)
         reports = [None if v is None else v.report() for v in vectors]
         if prof.enabled:
-            section = "engine.run" if fault_ctx is None else "engine.run_faulted"
-            prof.add(section, perf_counter() - run_start)
+            prof.add("engine.run", perf_counter() - run_start)
             prof.count("engine.epochs", epochs)
             prof.count("engine.cache_hits", cache_hits)
             prof.count("engine.speculated", speculated)
@@ -535,88 +530,44 @@ class ArrayServingEngine:
         self,
         vectors: List[Optional[_VectorTenant]],
         static_sig: Optional[Signature],
-    ) -> Tuple[int, int, int]:
-        """The epoch time-wheel; returns ``(epochs, cache_hits, speculated)``."""
-        network = self.evaluator.network
-        static = static_sig is not None
-        epochs = cache_hits = speculated = 0
-        while True:
-            # Phase 1: every active tenant declares its next evaluation need.
-            groups: Dict[Signature, List[Tuple]] = {}
-            ready: List[Tuple[_VectorTenant, Signature, float]] = []
-            for vector in vectors:
-                if vector is None or vector.done:
-                    continue
-                t_next = vector.peek_start()
-                plan = vector.spec.plan
-                signature = (
-                    static_sig
-                    or vector.next_signature
-                    or network_state_signature(network, t_next)
-                )
-                latency = vector.memo.get((id(plan), signature))
-                if latency is None:
-                    groups.setdefault(signature, []).append((vector, plan, t_next))
-                else:
-                    cache_hits += 1
-                    ready.append((vector, signature, latency))
-            if not groups and not ready:
-                break
-            epochs += 1
-            # Phase 2: one vectorised evaluation per distinct network state,
-            # at the rate vector phase 1 sampled.
-            for signature, members in groups.items():
-                results = self.evaluator.evaluate_plans(
-                    [plan for _, plan, _ in members], t_seconds=members[0][2], rates=signature
-                )
-                for (vector, plan, _), result in zip(members, results):
-                    latency = result.end_to_end_ms
-                    vector.memo.put((id(plan), signature), latency)
-                    ready.append((vector, signature, latency))
-            # Phase 3: commit every tenant's speculation window.
-            for vector, signature, latency in ready:
-                speculated += vector.advance(latency, signature, static, network) - 1
-        return epochs, cache_hits, speculated
-
-    def _epochs_faulted(
-        self,
-        vectors: List[Optional[_VectorTenant]],
-        static_sig: Optional[Signature],
         ctx: FaultContext,
         tracer: Tracer,
     ) -> Tuple[int, int, int]:
-        """The epoch time-wheel on a churning fleet.
+        """The epoch time-wheel; returns ``(epochs, cache_hits, speculated)``.
 
-        Three additions keep the column fast path under the churn parity
-        contract:
+        Each epoch runs three phases over the active tenants:
 
-        * every epoch resolves each tenant's *effective* plan from the live
-          set at its next start — the same :class:`PlanDegrader` decision
-          (and the same cached plan object) the reference loop uses;
-        * speculation windows stop at the next membership event
-          (:meth:`_VectorTenant.advance` with the fault trace), so no
-          speculated commit can ever interact with churn;
-        * a head request crossing the barrier is rolled back and resolved
-          through the shared scalar retry-chain walk
-          (:func:`~repro.runtime.faults.resolve_faulted_request`) with this
-          engine's memoized latency oracle, then committed row by row —
-          including abandoned rows, which hold their slot until the crash.
+        1. every tenant resolves its head's *effective* plan from the live
+           set at its start — the same :class:`PlanDegrader` decision (and
+           the same cached plan object) the reference loop uses — and the
+           head's network-state signature, and looks the pair up in its
+           latency memo;
+        2. the memo misses are evaluated in one ``evaluate_plans`` call per
+           distinct signature, at the rate vector phase 1 sampled;
+        3. every tenant commits its speculation window
+           (:meth:`_VectorTenant.advance`), which stops at the next
+           membership event, so no speculated commit can interact with
+           churn.  A head request crossing that barrier lands nothing; it is
+           resolved through the shared scalar retry-chain walk
+           (:func:`~repro.runtime.faults.resolve_faulted_request`) with this
+           engine's memoized latency oracle and committed row by row —
+           including abandoned rows, which hold their slot until the crash.
 
-        Every head is evaluated as a singleton batch (a compiled plan walk).
         A tenant's index into ``vectors`` is its position in the caller's
-        list, the index the retry jitter is drawn with.
+        list, the index the retry jitter is drawn with.  Phase 3 runs in
+        that order, so retry-chain trace instants come out in the scalar
+        loop's order.
         """
         network = self.evaluator.network
         static = static_sig is not None
-        trace, retry, degrader = ctx.trace, ctx.retry, ctx.degrader
+        trace, degrader = ctx.trace, ctx.degrader
         epochs = cache_hits = speculated = 0
 
-        def latency_of(vector: _VectorTenant, plan: DistributionPlan, t_s: float, signature=None) -> float:
-            # The per-tenant memo keyed (plan, network state), falling through
-            # to a singleton batch evaluation at the sampled rate vector.
+        def latency_of(vector: _VectorTenant, plan: DistributionPlan, t_s: float) -> float:
+            # The retry chain's oracle: the tenant's memo, falling through to
+            # a singleton evaluation at the network state of ``t_s``.
             nonlocal cache_hits
-            if signature is None:
-                signature = static_sig or network_state_signature(network, t_s)
+            signature = static_sig or network_state_signature(network, t_s)
             latency = vector.memo.get((id(plan), signature))
             if latency is not None:
                 cache_hits += 1
@@ -628,42 +579,59 @@ class ArrayServingEngine:
             return latency
 
         while True:
-            dispatched = False
+            # Phase 1: every active tenant declares its head; a memo miss
+            # joins the evaluation group of its network state.
+            heads: List[list] = []  # [index, vector, release_s, signature, plan, latency]
+            groups: Dict[Signature, List[list]] = {}
             for index, vector in enumerate(vectors):
                 if vector is None or vector.done:
                     continue
-                dispatched = True
                 release_s = vector.peek_start()
                 signature = (
                     static_sig
                     or vector.next_signature
                     or network_state_signature(network, release_s)
                 )
-                eff = degrader.effective_plan(
+                plan = degrader.effective_plan(
                     vector.spec.plan, trace.live_indices(release_s * 1000.0)
                 )
-                latency = latency_of(vector, eff, release_s, signature)
+                latency = vector.memo.get((id(plan), signature))
+                head = [index, vector, release_s, signature, plan, latency]
+                if latency is None:
+                    groups.setdefault(signature, []).append(head)
+                else:
+                    cache_hits += 1
+                heads.append(head)
+            if not heads:
+                break
+            epochs += 1
+            # Phase 2: one evaluation per distinct network state.
+            for signature, members in groups.items():
+                results = self.evaluator.evaluate_plans(
+                    [head[4] for head in members], t_seconds=members[0][2], rates=signature
+                )
+                for head, result in zip(members, results):
+                    head[5] = result.end_to_end_ms
+                    head[1].memo.put((id(head[4]), signature), head[5])
+            # Phase 3: commit every tenant's speculation window; a head
+            # crossing the next membership event walks its retry chain.
+            for index, vector, release_s, signature, _, latency in heads:
                 landed = vector.advance(latency, signature, static, network, trace)
                 if landed:
                     speculated += landed - 1
                     continue
-                # The head request crosses the next membership event: walk
-                # its retry chain scalar and commit the resolution.
                 resolved = resolve_faulted_request(
                     release_s,
                     vector.spec.plan,
                     lambda p, t: latency_of(vector, p, t),
                     trace,
-                    retry,
+                    ctx.retry,
                     degrader,
                     index,
                     vector.committed,
                 )
                 emit_resolution(tracer, vector.spec.name, release_s, resolved)
                 vector.commit_resolved_head(resolved)
-            if not dispatched:
-                break
-            epochs += 1
         return epochs, cache_hits, speculated
 
 

@@ -76,7 +76,6 @@ from repro.runtime.faults import (
     build_fault_report,
     emit_fault_timeline,
     emit_resolution,
-    plan_devices,
     resolve_faulted_request,
 )
 from repro.serving.dispatch import ClusterPolicy, FleetDispatcher
@@ -314,10 +313,11 @@ class ServingSimulator:
     Parameters
     ----------
     evaluator:
-        The evaluator bound to the shared cluster.  ``mode="batched"``
-        without a cluster policy requires an ``evaluate_plans`` batch API
-        (:class:`~repro.runtime.batch.BatchPlanEvaluator`); the other runs
-        accept any :class:`~repro.runtime.evaluator.PlanEvaluator`.
+        The evaluator bound to the shared cluster: any
+        :class:`~repro.runtime.evaluator.PlanEvaluator`.  Batched runs
+        without a cluster policy group plans through its ``evaluate_plans``,
+        which a :class:`~repro.runtime.batch.BatchPlanEvaluator` vectorises
+        and a plain evaluator answers plan by plan.
     """
 
     def __init__(self, evaluator: PlanEvaluator) -> None:
@@ -336,15 +336,6 @@ class ServingSimulator:
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if policy is None and mode == "batched" and not hasattr(self.evaluator, "evaluate_plans"):
-            # Contended serving walks requests through the scalar engine in
-            # both modes (the memo, not evaluate_plans, provides the batching),
-            # so the batch API is only required for independent batched runs.
-            raise TypeError(
-                "batched serving needs an evaluator with evaluate_plans "
-                "(BatchPlanEvaluator); "
-                f"got {type(self.evaluator).__name__} — use mode='reference' for it"
-            )
         if not tenants:
             raise ValueError("at least one tenant is required")
         names = [spec.name for spec in tenants]
@@ -453,9 +444,7 @@ class ServingSimulator:
                     spec,
                     start_s,
                     duration_s,
-                    shed_intervals=(
-                        list(fault_ctx.shed_intervals[i]) if fault_ctx is not None else None
-                    ),
+                    shed_intervals=list(fault_ctx.shed_intervals[i]),
                 )
             )
             for i, spec in enumerate(tenants)
@@ -487,13 +476,12 @@ class ServingSimulator:
                 cache_hits=cache_hits,
                 speculated=speculated,
             )
-        if fault_ctx is not None:
+        if faults is not None:
             report.faults = build_fault_report(fault_ctx, report.tenants)
         if tracer.enabled:
             # O(1): lifecycle events derive lazily on first trace read.
             tracer.defer_report(report)
-            if fault_ctx is not None:
-                emit_fault_timeline(tracer, fault_ctx.trace)
+            emit_fault_timeline(tracer, fault_ctx.trace)
         if metrics is not None:
             record_serving_report(metrics, report)
         return report
@@ -501,7 +489,7 @@ class ServingSimulator:
     def _run_independent(
         self,
         runtimes: List[Optional[TenantRuntime]],
-        fault_ctx: Optional[FaultContext] = None,
+        fault_ctx: FaultContext,
         tracer: Tracer = NULL_TRACER,
     ) -> int:
         """The contention-free scalar loop; returns its epoch count.
@@ -512,12 +500,13 @@ class ServingSimulator:
         are the engine's and are skipped).  Tenants keep their index in
         ``runtimes``, the index the retry jitter is drawn with.
 
-        On a churning fleet (``fault_ctx``) each dispatch is resolved
-        through the shared pure retry-chain walk
+        Each dispatch is resolved through the shared pure retry-chain walk
         (:func:`~repro.runtime.faults.resolve_faulted_request`) with the
         scalar evaluator as its latency oracle and committed once with its
         final outcome; retry attempts are evaluated under the network state
-        at their own release instant.
+        at their own release instant.  On a churn-free run (the empty
+        trace) every request completes on its first attempt, which commits
+        the oracle's float untouched.
         """
 
         def latency_of(plan, t_s: float) -> float:
@@ -534,9 +523,6 @@ class ServingSimulator:
                 break
             epochs += 1
             for index, runtime, dispatch in dispatches:
-                if fault_ctx is None:
-                    runtime.commit(latency_of(dispatch.plan, dispatch.start_s))
-                    continue
                 resolved = resolve_faulted_request(
                     dispatch.start_s,
                     dispatch.plan,
@@ -558,8 +544,8 @@ class ServingSimulator:
         start_s: float,
         mode: str,
         policy: ClusterPolicy,
-        schedule_memo: Optional[LRUCache] = None,
-        fault_ctx: Optional[FaultContext] = None,
+        schedule_memo: Optional[LRUCache],
+        fault_ctx: FaultContext,
         tracer: Tracer = NULL_TRACER,
     ) -> ServingReport:
         """The shared-fleet loops: requests queue on each other's lanes.
@@ -589,8 +575,9 @@ class ServingSimulator:
         The reference loop walks every request, so parity checks every
         decision the bound takes.
 
-        Fleet churn (``fault_ctx``) adds a replan → predict → crash-check
-        step: every selection replans around the instant's dead devices
+        Fleet churn (``fault_ctx``; the empty trace when the run has none)
+        makes every step replan → predict → crash-check: every selection
+        replans around the instant's dead devices
         (:meth:`~repro.runtime.faults.PlanDegrader.effective_plan`), and a
         predicted schedule crossing a crash of a touched device is committed
         *truncated at the crash* (the partial lane occupancy and the gate
@@ -632,13 +619,11 @@ class ServingSimulator:
             )
             dispatch = pending.pop(index)
             release_ms = dispatch.start_s * 1000.0
-            plan = dispatch.plan
-            if fault_ctx is not None:
-                # Replan around devices dead at this release (graceful leaves
-                # and crashes alike); restored automatically once they rejoin.
-                plan = fault_ctx.degrader.effective_plan(
-                    plan, fault_ctx.trace.live_indices(release_ms)
-                )
+            # Replan around devices dead at this release (graceful leaves
+            # and crashes alike); restored automatically once they rejoin.
+            plan = fault_ctx.degrader.effective_plan(
+                dispatch.plan, fault_ctx.trace.live_indices(release_ms)
+            )
             slo = runtimes[index].spec.slo if predictive else None
             outcome = engine.predict(
                 plan,
@@ -682,53 +667,52 @@ class ServingSimulator:
                         if dispatch is not None:
                             pending[index] = dispatch
                     continue
-            if fault_ctx is not None:
-                crash = fault_ctx.trace.first_crash_touching(
-                    plan_devices(plan), release_ms, release_ms + outcome.latency_ms
+            crash = fault_ctx.trace.first_crash_touching(
+                fault_ctx.degrader.devices(plan), release_ms, release_ms + outcome.latency_ms
+            )
+            if crash is not None:
+                # Failed at detection: the request held lanes and the
+                # admission gate until the crash — commit the truncated
+                # schedule, then retry through the normal pending queue
+                # (re-predicted and re-admitted at its new release) or
+                # abandon once the budget is spent.
+                runtime = runtimes[index]
+                cut = truncated_outcome(outcome, crash.t_ms - release_ms)
+                engine.commit(cut, release_ms)
+                dispatcher.account(index, cut.latency_ms)
+                if tracer.enabled:
+                    _emit_contended_commit(
+                        tracer, lane_keys, device_ids, runtime.spec.name,
+                        release_ms, cut, truncated=True,
+                    )
+                attempt = runtime.pending_attempt
+                delay_ms = fault_ctx.retry.delay_ms(
+                    attempt, index, runtime.pending_ordinal
                 )
-                if crash is not None:
-                    # Failed at detection: the request held lanes and the
-                    # admission gate until the crash — commit the truncated
-                    # schedule, then retry through the normal pending queue
-                    # (re-predicted and re-admitted at its new release) or
-                    # abandon once the budget is spent.
-                    runtime = runtimes[index]
-                    cut = truncated_outcome(outcome, crash.t_ms - release_ms)
-                    engine.commit(cut, release_ms)
-                    dispatcher.account(index, cut.latency_ms)
+                new_start_ms = crash.t_ms + delay_ms
+                timed_out = (
+                    fault_ctx.retry.timeout_ms is not None
+                    and new_start_ms - runtime.pending_first_start_s * 1000.0
+                    > fault_ctx.retry.timeout_ms
+                )
+                if attempt >= fault_ctx.retry.max_attempts or timed_out:
+                    runtime.abandon_pending(crash.t_ms / 1000.0, lost=1)
+                    if not runtime.done:
+                        dispatch = runtime.prepare()
+                        if dispatch is not None:
+                            pending[index] = dispatch
+                else:
+                    pending[index] = runtime.retry_pending(new_start_ms / 1000.0)
                     if tracer.enabled:
-                        _emit_contended_commit(
-                            tracer, lane_keys, device_ids, runtime.spec.name,
-                            release_ms, cut, truncated=True,
+                        tracer.instant(
+                            crash.t_ms,
+                            f"tenant:{runtime.spec.name}",
+                            "fault",
+                            "retry",
+                            attempt=attempt,
+                            delay_ms=delay_ms,
                         )
-                    attempt = runtime.pending_attempt
-                    delay_ms = fault_ctx.retry.delay_ms(
-                        attempt, index, runtime.pending_ordinal
-                    )
-                    new_start_ms = crash.t_ms + delay_ms
-                    timed_out = (
-                        fault_ctx.retry.timeout_ms is not None
-                        and new_start_ms - runtime.pending_first_start_s * 1000.0
-                        > fault_ctx.retry.timeout_ms
-                    )
-                    if attempt >= fault_ctx.retry.max_attempts or timed_out:
-                        runtime.abandon_pending(crash.t_ms / 1000.0, lost=1)
-                        if not runtime.done:
-                            dispatch = runtime.prepare()
-                            if dispatch is not None:
-                                pending[index] = dispatch
-                    else:
-                        pending[index] = runtime.retry_pending(new_start_ms / 1000.0)
-                        if tracer.enabled:
-                            tracer.instant(
-                                crash.t_ms,
-                                f"tenant:{runtime.spec.name}",
-                                "fault",
-                                "retry",
-                                attempt=attempt,
-                                delay_ms=delay_ms,
-                            )
-                    continue
+                continue
             engine.commit(outcome, release_ms)
             if tracer.enabled:
                 _emit_contended_commit(

@@ -244,6 +244,8 @@ class TestReplanAndResolve:
         a = degrader.effective_plan(plan, (1, 2))
         assert degrader.effective_plan(plan, (1, 2)) is a
         assert degrader.effective_plan(plan, (0, 1, 2)) is plan
+        assert degrader.devices(a) == plan_devices(a)
+        assert degrader.devices(a) is degrader.devices(a)
 
     def test_resolver_completes_first_attempt_with_raw_oracle_float(self, world):
         model, devices = world
@@ -258,6 +260,28 @@ class TestReplanAndResolve:
         assert resolved.status == "completed"
         assert resolved.latency_ms == oracle_lat  # bit-equal, no round trip
         assert resolved.attempts == 1 and resolved.lost_attempts == 0
+
+    def test_resolver_evaluates_the_first_attempt_at_the_dispatch_start(self, world):
+        """Regression: the first attempt was evaluated at
+        ``(start_s * 1000) / 1000``, an ulp off ``start_s`` here, while the
+        array engine evaluates the head at ``start_s`` itself."""
+        model, devices = world
+        plan = DistributionPlan.single_device(model, devices, 0)
+        start_s = 0.1903
+        assert (start_s * 1000.0) / 1000.0 != start_s
+        asked = []
+
+        def oracle(p, t):
+            asked.append(t)
+            return 20.0
+
+        trace = _trace(("crash", 0, 200.0), n=3)
+        resolved = resolve_faulted_request(
+            start_s, plan, oracle, trace, RetryPolicy(backoff_ms=10.0, jitter_ms=0.0),
+            PlanDegrader(), tenant_index=0, request_ordinal=0,
+        )
+        assert resolved.attempts == 2
+        assert asked == [start_s, 0.21]  # the retry: crash (200 ms) + 10 ms
 
     def test_resolver_retries_across_a_mid_inference_crash(self, world):
         model, devices = world

@@ -11,12 +11,12 @@ window) each get a dedicated parity test.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.devices.specs import make_cluster
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
+from repro.obs.trace import Tracer
 from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.faults import (
@@ -265,31 +265,71 @@ class TestCrashBoundaries:
 
 class TestNoChurnByteIdentity:
     def test_idle_trace_changes_nothing(self, model, fleet):
-        """A trace whose events all land beyond the horizon must reproduce
-        the no-churn run float-for-float (the parity contract's base case)."""
+        """A trace with no event inside the horizon must reproduce the
+        no-churn run float-for-float in every serving loop (the parity
+        contract's base case).  A churn-free run *is* the empty trace."""
         devices, network = fleet
-        idle = FaultTrace(
-            events=(FaultEvent(t_ms=1e9, kind="crash", device=0),),
-            num_devices=len(devices),
-        )
-        plain = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
-            churn_tenants(model, devices), duration_s=2.0
-        )
-        churned = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
+        beyond = (FaultEvent(t_ms=1e9, kind="crash", device=0),)
+        loops = {
+            "batched": {},
+            "reference": {"mode": "reference"},
+            "contended": {"policy": ClusterPolicy(discipline="wfq", max_inflight=2)},
+        }
+        for events in ((), beyond):
+            idle = FaultTrace(events=events, num_devices=len(devices))
+            for loop, kwargs in loops.items():
+                plain_tracer, churned_tracer = Tracer(), Tracer()
+                plain = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
+                    churn_tenants(model, devices), duration_s=2.0, tracer=plain_tracer, **kwargs
+                )
+                churned = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
+                    churn_tenants(model, devices),
+                    duration_s=2.0,
+                    faults=idle,
+                    retry=RETRY,
+                    degradation=DEGRADE,
+                    tracer=churned_tracer,
+                    **kwargs,
+                )
+                assert plain.faults is None and churned.faults is not None, loop
+                assert churned.faults.lost_attempts == 0, loop
+                assert churned.faults.total_shed == 0, loop
+                plain_dict, churned_dict = plain.to_dict(), churned.to_dict()
+                assert "faults" not in plain_dict
+                churned_dict.pop("faults")
+                assert plain_dict == churned_dict, loop
+                # The fleet timeline lists the trace's events, the one
+                # beyond the horizon included; every other byte is the
+                # plain run's.
+                lines = churned_tracer.lines()
+                kept = [line for line in lines if " fleet fault " not in line]
+                assert len(kept) == len(lines) - len(events), loop
+                assert plain_tracer.lines() == kept, loop
+
+
+class TestMergedEpochLoop:
+    def test_churned_heads_share_an_evaluation(self, model, fleet):
+        """Under churn, heads with one network state are still evaluated
+        together: on a constant network the first epoch passes every
+        tenant's plan to one ``evaluate_plans`` call."""
+        devices, network = fleet
+        sizes = []
+
+        class SpyEvaluator(BatchPlanEvaluator):
+            def evaluate_plans(self, plans, t_seconds=0.0, rates=None):
+                sizes.append(len(plans))
+                return super().evaluate_plans(plans, t_seconds, rates)
+
+        report = run_with_parity(
+            SpyEvaluator(devices, network),
+            PlanEvaluator(devices, network),
             churn_tenants(model, devices),
             duration_s=2.0,
-            faults=idle,
+            faults=CHURN,
             retry=RETRY,
-            degradation=DEGRADE,
         )
-        assert plain.faults is None and churned.faults is not None
-        assert churned.faults.lost_attempts == 0
-        assert churned.faults.total_shed == 0
-        for a, b in zip(plain.tenants, churned.tenants):
-            assert np.array_equal(a.start_s, b.start_s)
-            assert np.array_equal(a.latency_ms, b.latency_ms)
-            assert a.num_completed == b.num_completed
-            assert a.num_rejected == b.num_rejected
+        assert report.faults.lost_attempts > 0
+        assert max(sizes) > 1
 
 
 class TestFaultReportSurface:

@@ -25,7 +25,6 @@ from repro.serving import (
     MMPPArrivals,
     PoissonArrivals,
     RetryPolicy,
-    ServingSimulator,
     TenantSpec,
     run_with_parity,
     vectorizable,
@@ -354,21 +353,28 @@ class TestContended:
 
 
 class TestValidation:
-    def test_array_engine_needs_batch_api(self, model):
+    def test_array_engine_accepts_a_plain_evaluator(self, model):
+        """Every ``PlanEvaluator`` answers ``evaluate_plans`` (plan by plan),
+        so the array engine runs on a plain one — churned or not — and stays
+        bit-identical to the reference loop."""
         devices, network = _two_devices()
+        plan = DistributionPlan.single_device(model, devices, 0)
         tenants = [
-            TenantSpec(
-                "t",
-                DistributionPlan.single_device(model, devices, 0),
-                traffic=PoissonArrivals(2.0, seed=1),
-            )
+            TenantSpec("t", plan, traffic=PoissonArrivals(2.0, seed=1)),
+            TenantSpec("u", plan, traffic=None, max_requests=1000),  # always in flight
         ]
-        simulator = ServingSimulator(PlanEvaluator(devices, network))
-        with pytest.raises(TypeError, match="evaluate_plans"):
-            simulator.run(tenants, duration_s=5.0)
-        # Churned batched runs go through the same engine.
-        with pytest.raises(TypeError, match="evaluate_plans"):
-            simulator.run(tenants, duration_s=5.0, faults="churn:events=crash:0@500")
+        for faults in (None, "churn:events=crash:0@500;join:0@2500"):
+            report = run_with_parity(
+                PlanEvaluator(devices, network),
+                PlanEvaluator(devices, network),
+                tenants,
+                duration_s=5.0,
+                faults=faults,
+            )
+            assert report.mode == "batched"
+            assert report.evaluator_kind == "PlanEvaluator"
+            assert report.total_completed > 10
+        assert report.faults.lost_attempts > 0
 
     def test_slots_validation(self, model):
         devices, _ = _two_devices()

@@ -214,15 +214,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="unique"):
             ServingSimulator(evaluator).run(tenants, duration_s=1.0)
 
-    def test_batched_mode_needs_a_batch_evaluator(self, cluster, model):
+    def test_batched_mode_accepts_a_plain_evaluator(self, cluster, model):
+        """A batched run over a plain ``PlanEvaluator`` serves the same
+        floats as one over the ``BatchPlanEvaluator`` it is bit-exact with."""
         devices, network, _, plan = cluster
-        scalar = PlanEvaluator(devices, network)
-        tenant = TenantSpec("t", plan, traffic=PoissonArrivals(1.0))
-        with pytest.raises(TypeError, match="evaluate_plans"):
-            ServingSimulator(scalar).run([tenant], duration_s=1.0)
-        # The reference loop accepts a scalar evaluator.
-        report = ServingSimulator(scalar).run([tenant], duration_s=1.0, mode="reference")
-        assert report.mode == "reference"
+        tenant = TenantSpec("t", plan, traffic=PoissonArrivals(5.0))
+        plain = ServingSimulator(PlanEvaluator(devices, network)).run([tenant], duration_s=4.0)
+        batch = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
+            [tenant], duration_s=4.0
+        )
+        assert plain.mode == "batched" and plain.total_completed > 5
+        assert plain.evaluator_kind == "PlanEvaluator"
+        plain_dict, batch_dict = plain.to_dict(), batch.to_dict()
+        plain_dict.pop("evaluator_kind")
+        batch_dict.pop("evaluator_kind")
+        assert plain_dict == batch_dict
 
     def test_plan_device_count_must_match(self, cluster, model):
         _, _, evaluator, _ = cluster
