@@ -68,7 +68,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import BASELINE_REGISTRY
 from repro.core.distredge import DistrEdge, DistrEdgeConfig
@@ -217,24 +217,12 @@ def _resolve_plan(args: argparse.Namespace) -> Run:
 
 
 def _run_plan(args: argparse.Namespace, scenario, planner, devices, network) -> int:
-    from repro.obs import NULL_PROFILER, Profiler
-
     if scenario.name != "adhoc":
         print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
-    model = model_zoo.get(args.model)
-    profiler = Profiler() if args.profile else NULL_PROFILER
-    if isinstance(planner, DistrEdge):
-        planner.profiler = profiler
-        plan = planner.plan(model, devices, network)
-    else:
-        with profiler.section("plan.search"):
-            plan = planner.plan(model, devices, network)
+    plan = planner.plan(model_zoo.get(args.model), devices, network)
     print(plan.describe())
-    with profiler.section("plan.evaluate"):
-        result = PlanEvaluator(devices, network).evaluate(plan)
+    result = PlanEvaluator(devices, network).evaluate(plan)
     print(f"predicted latency: {result.end_to_end_ms:.1f} ms ({result.ips:.2f} IPS)")
-    if profiler.enabled:
-        print(profiler.format_table())
     if args.output:
         path = save_plan(plan, args.output)
         print(f"plan written to {path}")
@@ -307,18 +295,12 @@ def _resolve_compare(args: argparse.Namespace) -> Run:
 
 
 def _run_compare(args: argparse.Namespace, scenario: Scenario, harness) -> int:
-    from repro.obs import NULL_PROFILER, Profiler
-
-    profiler = Profiler() if args.profile else NULL_PROFILER
-    with profiler.section("compare.run"):
-        results = harness.compare(scenario, methods=ALL_METHODS, model_name=args.model)
+    results = harness.compare(scenario, methods=ALL_METHODS, model_name=args.model)
     print(
         format_ips_table({scenario.name: harness.ips_table(results)}, methods=list(ALL_METHODS))
     )
     print(f"DistrEdge speedup over best baseline: "
           f"{harness.speedup_over_best_baseline(results):.2f}x")
-    if profiler.enabled:
-        print(profiler.format_table())
     return 0
 
 
@@ -681,17 +663,14 @@ def _run_serve(
     devices, network, faults = fleet
     evaluator = BatchPlanEvaluator(devices, network)
     print(f"scenario: {inputs.scenario.name} ({inputs.scenario.num_devices} providers)")
-    tracer = metrics = profiler = None
-    if args.trace_json or args.metrics_json or args.profile:
-        from repro.obs import MetricsRegistry, Profiler, Tracer, record_serving_report
+    tracer = metrics = None
+    if args.trace_json or args.metrics_json:
+        from repro.obs import MetricsRegistry, Tracer, record_serving_report
 
         if args.trace_json:
             tracer = Tracer()
         if args.metrics_json:
             metrics = MetricsRegistry()
-        if args.profile:
-            profiler = Profiler()
-            evaluator.profiler = profiler
     tenants = _plan_tenants(inputs, devices, network)
     run_args = dict(
         duration_s=args.duration,
@@ -711,8 +690,6 @@ def _run_serve(
             record_serving_report(metrics, report)
     else:
         simulator = ServingSimulator(evaluator)
-        if profiler is not None:
-            simulator.profiler = profiler
         report = simulator.run(tenants, mode=args.mode, metrics=metrics, **run_args)
     print(format_serving_table(report))
     if report.fleet is not None:
@@ -740,11 +717,31 @@ def _run_serve(
         snapshot = {**metrics.snapshot(), "provenance": _provenance(args)}
         Path(args.metrics_json).write_text(json.dumps(snapshot, indent=2) + "\n")
         print(f"metrics written to {args.metrics_json}")
-    if profiler is not None:
-        print(profiler.format_table())
+    if args.profile:
+        args._profiler.counters.update(_serve_counters(args._profiler, report, evaluator))
     if args.report_json:
         _write_report_json(args.report_json, report.to_dict(), provenance=_provenance(args))
     return 0
+
+
+def _serve_counters(profiler, report, evaluator) -> Dict[str, int]:
+    """The counters a serving run already records, for the ``--profile`` table."""
+    cache = evaluator.cache_info()
+    counters = {
+        "report.epochs": report.epochs,
+        "report.cache_hits": report.cache_hits,
+        "report.speculated": report.speculated,
+        "batch.plan_cache_hits": cache["hits"],
+        "batch.plan_cache_lookups": cache["hits"] + cache["misses"],
+    }
+    predicts = profiler.calls("runtime.contention.ContentionAwareEvaluator.predict")
+    if predicts:
+        # A contended run's cache hits are its schedule-memo hits; a predict
+        # that neither hits the memo nor walks is an idle-bound denial.
+        walks = profiler.calls("runtime.contention.ContentionAwareEvaluator._schedule")
+        counters["contention.walks"] = walks
+        counters["contention.idle_denials"] = predicts - report.cache_hits - walks
+    return counters
 
 
 def _resolve_analyze(args: argparse.Namespace) -> Run:
@@ -914,8 +911,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument("--output", default=None, help="write the plan to this JSON file")
     p_plan.add_argument("--profile", action="store_true",
-                        help="print a wall-clock profile of the planning search "
-                             "and final evaluation (host time only)")
+                        help="print a wall-clock profile (calls, busy and self "
+                             "time per layer) of the planning search and final "
+                             "evaluation (host time only)")
     p_plan.set_defaults(resolve=_resolve_plan)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved plan")
@@ -1069,9 +1067,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 0.05)")
     p_serve.add_argument("--profile", action="store_true",
                          help="print a wall-clock profile of where the run's "
-                              "host time went (evaluator sweeps, cache hit "
-                              "rates); wall-clock only — never affects "
-                              "simulated results")
+                              "host time went (calls, busy and self time per "
+                              "layer, cache and memo counters); wall-clock "
+                              "only — never affects simulated results")
     p_serve.add_argument("--figure", action="store_true",
                          help="sweep Poisson offered load over --figure-rates and "
                               "print the deadline-miss-vs-load curve instead of "
@@ -1142,7 +1140,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    return run()
+    if not getattr(args, "profile", False):  # plan, compare and serve take --profile
+        return run()
+    from repro.obs import Profiler
+
+    # --profile times the whole run step.  The profiler is kept on the
+    # namespace so a run step can add the counters it records.
+    args._profiler = Profiler()
+    with args._profiler:
+        code = run()
+    print(args._profiler.format_table())
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -42,7 +42,7 @@ from repro.runtime.faults import (
 from repro.runtime.oracles import profiles_by_device
 from repro.runtime.plan import DistributionPlan
 from repro.runtime.streaming import StreamingSimulator
-from repro.serving.dispatch import ClusterPolicy
+from repro.serving.dispatch import SCHEDULE_MEMO_SIZE, ClusterPolicy
 from repro.serving.simulator import ServingReport, ServingSimulator
 from repro.serving.tenants import SLO, TenantSpec
 from repro.serving.traffic import ArrivalProcess, TraceArrivals, resolve_traffic
@@ -424,7 +424,7 @@ class ExperimentHarness:
             if share_schedule_memo and policy is not None:
                 memo = memos.get(num_devices)
                 if memo is None:
-                    memo = LRUCache(policy.memo_size)
+                    memo = LRUCache(SCHEDULE_MEMO_SIZE)
                     memos[num_devices] = memo
             return self.serve_scenario(
                 scenario,

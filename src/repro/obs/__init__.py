@@ -1,7 +1,7 @@
 """Deterministic observability for the planner and serving stack.
 
 Capture (trace/metrics/profile) plus interpretation (analysis/slo), all
-opt-in and all zero-cost when off:
+opt-in:
 
 * :mod:`repro.obs.trace` — structured span/event records for the full
   request lifecycle (arrive → admit/deny/requeue → queue → dispatch →
@@ -24,10 +24,11 @@ opt-in and all zero-cost when off:
   alerting over the committed report and windowed fleet load, emitting a
   canonical alert timeline that is part of the parity contract and feeds
   the autoscaler (``trigger="burn_rate"``) and degradation planning.
-* :mod:`repro.obs.profile` — wall-clock section timers and hit counters
-  around the hot paths (``evaluate_plans``, the ``(batch, devices)``
-  sweep, array-engine epochs and speculation rollbacks, memo and cache
-  hit/miss).  Profiling measures *this
+* :mod:`repro.obs.profile` — a host-time profiler that, for the length of
+  one command, wraps a declared table of entry points (``LAYERS``) and
+  reports calls, busy time and self time per layer plus the command's
+  total and the part no layer covers.  No source carries a hook: when
+  ``--profile`` is off nothing is installed.  Profiling measures *this
   machine's* wall time and is explicitly **excluded** from parity.
 
 The span taxonomy, metrics catalogue and Perfetto how-to live in
@@ -48,7 +49,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     record_serving_report,
 )
-from repro.obs.profile import NULL_PROFILER, NullProfiler, Profiler
+from repro.obs.profile import Profiler
 from repro.obs.slo import (
     DEFAULT_BURN_RULES,
     AlertEvent,
@@ -63,7 +64,6 @@ from repro.obs.trace import (
     TraceEvent,
     Tracer,
     events_from_chrome,
-    trace_serving_report,
 )
 
 __all__ = [
@@ -77,8 +77,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "MetricsRegistry",
     "record_serving_report",
-    "NULL_PROFILER",
-    "NullProfiler",
     "Profiler",
     "DEFAULT_BURN_RULES",
     "AlertEvent",
@@ -91,5 +89,4 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "events_from_chrome",
-    "trace_serving_report",
 ]

@@ -365,9 +365,14 @@ class Tracer:
     def defer_report(self, report) -> None:
         """Queue a committed ``ServingReport`` for lazy lifecycle derivation.
 
-        Equivalent to :func:`trace_serving_report` in every observable way,
-        but the derivation work happens on first read instead of inside the
-        serving run.
+        A pure function of the report: per completed request an ``arrive``
+        instant, a ``queue`` span (arrival → service start), a ``serve``
+        span (start → completion) and a ``complete`` instant; plus instants
+        for every rejection (queue full at arrival), denial (predictive
+        admission at release), shed arrival, abandoned retry chain and
+        replan the report recorded.  Because every loop's report is
+        bit-identical by the parity contract, the derived events are too.
+        The derivation happens on first read, not inside the serving run.
         """
         if self.enabled:
             self._view = self._sorted = None
@@ -564,28 +569,6 @@ def _lifecycle_blocks(report) -> List[_Block]:
     return blocks
 
 
-def trace_serving_report(tracer: Tracer, report) -> None:
-    """Derive the request-lifecycle events from a committed ``ServingReport``.
-
-    A pure function of the report: per completed request an ``arrive``
-    instant, a ``queue`` span (arrival → service start), a ``serve`` span
-    (start → completion) and a ``complete`` instant; plus instants for every
-    rejection (queue full at arrival), denial (predictive admission at
-    release), shed arrival, abandoned retry chain and replan the report
-    recorded.  Because every loop's report is bit-identical by the parity
-    contract, the derived events are too — no instrumentation of the fast
-    paths required.
-
-    This eager form appends the events as records now; the simulator uses
-    the lazy :meth:`Tracer.defer_report`, which keeps them as columns.
-    """
-    if not tracer.enabled:
-        return
-    events = tracer.events
-    for block in _lifecycle_blocks(report):
-        events.extend(block.events())
-
-
 # ---------------------------------------------------------------------- #
 # Chrome trace-event import
 # ---------------------------------------------------------------------- #
@@ -641,5 +624,4 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "events_from_chrome",
-    "trace_serving_report",
 ]

@@ -54,14 +54,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import islice, repeat
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.devices.specs import DeviceInstance
 from repro.network.topology import REQUESTER, NetworkModel
-from repro.obs.profile import NULL_PROFILER
 from repro.nn.graph import LayerVolume, ModelSpec
 from repro.nn.layers import LayerSpec
 from repro.runtime.evaluator import (
@@ -232,7 +230,6 @@ class BatchPlanEvaluator(PlanEvaluator):
         )
         self._plan_cache = LRUCache(cache_size)
         self._compiled = LRUCache(cache_size)
-        self.profiler = NULL_PROFILER
         # Model identity tokens: keyed by object id, with a strong reference
         # kept so ids cannot be recycled while the cache may still hold
         # entries derived from them.
@@ -317,24 +314,6 @@ class BatchPlanEvaluator(PlanEvaluator):
         ``network_state_signature(self.network, t_seconds)`` when the caller
         has already sampled it (the results are identical either way).
         """
-        prof = self.profiler
-        if not prof.enabled:
-            return self._evaluate_plans_impl(plans, t_seconds, rates)
-        hits_before = self._plan_cache.hits
-        start = perf_counter()
-        try:
-            return self._evaluate_plans_impl(plans, t_seconds, rates)
-        finally:
-            prof.add("batch.evaluate_plans", perf_counter() - start)
-            prof.count("batch.plans", len(plans))
-            prof.count("batch.plan_cache_hits", self._plan_cache.hits - hits_before)
-
-    def _evaluate_plans_impl(
-        self,
-        plans: Sequence[DistributionPlan],
-        t_seconds: float,
-        rates: Optional[Tuple[float, ...]],
-    ) -> List[EvaluationResult]:
         n = len(self.devices)
         for plan in plans:
             if plan.num_devices != n:
@@ -417,8 +396,6 @@ class BatchPlanEvaluator(PlanEvaluator):
                 )
                 for compiled, plan in zip(self.compiled_plans(plans), plans)
             ]
-        prof = self.profiler
-        sweep_start = perf_counter() if prof.enabled else 0.0
         scheduler = BatchVolumeScheduler(self, model, volumes, batch, t_seconds)
         for l in range(len(volumes)):
             cuts = np.array(
@@ -430,11 +407,7 @@ class BatchPlanEvaluator(PlanEvaluator):
             if model.head_layers
             else None
         )
-        out = scheduler.finalize(heads, [plan.method for plan in plans])
-        if prof.enabled:
-            prof.add("batch.group_sweep", perf_counter() - sweep_start)
-            prof.count("batch.group_plans", len(plans))
-        return out
+        return scheduler.finalize(heads, [plan.method for plan in plans])
 
     @property
     def supports_vectorized_stepping(self) -> bool:

@@ -52,13 +52,11 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.network.topology import REQUESTER
-from repro.obs.profile import NULL_PROFILER
 from repro.nn.graph import ModelSpec
 from repro.runtime.batch import BatchPlanEvaluator, network_state_signature, plan_signature
 from repro.runtime.evaluator import EvaluationResult, PlanEvaluator
@@ -626,7 +624,6 @@ class ContentionAwareEvaluator:
         # replans pin.
         self._plan_sigs = LRUCache(cache_size)
         self.evaluations = 0
-        self.profiler = NULL_PROFILER
 
     # ------------------------------------------------------------------ #
     @property
@@ -775,7 +772,6 @@ class ContentionAwareEvaluator:
         if self._memo is not None:
             key = self._dispatch_key(plan, rates, residuals, gate_rel)
             outcome = self._memo.get(key)
-        prof = self.profiler
         if outcome is None:
             # On an idle fleet the walk *is* the idle walk: no bound to take.
             if (
@@ -785,20 +781,10 @@ class ContentionAwareEvaluator:
                 and (gate_rel > 0.0 or any(r > 0.0 for r in residuals))
                 and misses(self._idle_latency_ms(plan, key, t_seconds, rates))
             ):
-                if prof.enabled:
-                    prof.count("contention.idle_miss")
                 return None
-            if prof.enabled:
-                walk_start = perf_counter()
-                _, outcome = self._schedule(plan, t_seconds, rates, residuals, gate_rel)
-                prof.add("contention.schedule_walk", perf_counter() - walk_start)
-                prof.count("contention.memo_miss")
-            else:
-                _, outcome = self._schedule(plan, t_seconds, rates, residuals, gate_rel)
+            _, outcome = self._schedule(plan, t_seconds, rates, residuals, gate_rel)
             if self._memo is not None:
                 self._memo.put(key, outcome)
-        elif prof.enabled:
-            prof.count("contention.memo_hit")
         return outcome
 
     def commit(self, outcome: ContendedOutcome, release_ms: float) -> None:

@@ -542,16 +542,18 @@ def degrade_plan(plan: DistributionPlan, live: Sequence[int]) -> DistributionPla
     fallback strategy.  The full roster is kept in the plan so device
     indices stay stable for lane accounting.
     """
-    live_set = set(live)
-    if not live_set:
+    return plan if plan_devices(plan) <= set(live) else _failover_plan(plan, live)
+
+
+def _failover_plan(plan: DistributionPlan, live: Sequence[int]) -> DistributionPlan:
+    """:func:`degrade_plan`'s single-device fallback for a plan touching a dead device."""
+    if not live:
         raise ValueError("cannot replan: no live devices remain")
-    if plan_devices(plan) <= live_set:
-        return plan
     shares = [0.0] * plan.num_devices
     for a in plan.assignments:
         for dev, rows in enumerate(a.decision.rows_per_device()):
             shares[dev] += rows
-    target = min(live_set, key=lambda j: (-shares[j], j))
+    target = min(live, key=lambda j: (-shares[j], j))
     return DistributionPlan.single_device(
         plan.model, plan.devices, target, method=f"{plan.method}+failover"
     )
@@ -574,10 +576,13 @@ class PlanDegrader:
         self._keep: List[DistributionPlan] = []  # pin id() keys alive
 
     def effective_plan(self, plan: DistributionPlan, live: Tuple[int, ...]) -> DistributionPlan:
+        """:func:`degrade_plan` of ``plan`` on the sorted, unique ``live`` indices."""
+        if len(live) == plan.num_devices:
+            return plan  # the whole roster is live
         key = (id(plan), live)
         hit = self._cache.get(key)
         if hit is None:
-            hit = degrade_plan(plan, live)
+            hit = plan if self.devices(plan) <= set(live) else _failover_plan(plan, live)
             self._cache[key] = hit
             self._keep.append(plan)
         return hit

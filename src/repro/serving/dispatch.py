@@ -59,6 +59,10 @@ ADMISSION_MODES: Tuple[str, ...] = ("none", "predictive")
 PREDICTED_MISS_ACTIONS: Tuple[str, ...] = ("reject", "requeue")
 
 
+#: LRU capacity of the batched loop's contended-schedule memo.
+SCHEDULE_MEMO_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class ClusterPolicy:
     """Shared-fleet serving policy (contention model + dispatch discipline).
@@ -73,8 +77,6 @@ class ClusterPolicy:
         beyond it wait at the admission gate (the wait counts toward their
         response time).  ``None`` leaves concurrency bounded only by the
         tenants' own service slots.
-    memo_size:
-        LRU capacity of the batched loop's contended-schedule memo.
     admission:
         ``"none"`` admits every dispatched request; ``"predictive"`` asks
         the contention evaluator for the predicted completion at release
@@ -96,7 +98,6 @@ class ClusterPolicy:
 
     discipline: str = "fifo"
     max_inflight: Optional[int] = None
-    memo_size: int = 4096
     admission: str = "none"
     on_predicted_miss: str = "reject"
     window_ms: Optional[float] = None
@@ -110,8 +111,6 @@ class ClusterPolicy:
             raise ValueError(
                 f"max_inflight must be >= 1 (or None), got {self.max_inflight}"
             )
-        if self.memo_size < 1:
-            raise ValueError(f"memo_size must be >= 1, got {self.memo_size}")
         if self.admission not in ADMISSION_MODES:
             raise ValueError(
                 f"admission must be one of {ADMISSION_MODES}, got {self.admission!r}"
@@ -195,6 +194,7 @@ __all__ = [
     "ADMISSION_MODES",
     "DISCIPLINES",
     "PREDICTED_MISS_ACTIONS",
+    "SCHEDULE_MEMO_SIZE",
     "ClusterPolicy",
     "FleetDispatcher",
 ]

@@ -77,12 +77,10 @@ loop — is drawn in ``docs/architecture.md``.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.profile import NULL_PROFILER
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.batch import network_state_signature, network_state_signatures
 from repro.runtime.faults import (
@@ -179,9 +177,6 @@ class _VectorTenant:
         self.num_lost_attempts = 0
         self.num_retried = 0
         self.retry_added_ms = 0.0
-        #: Mis-speculated windows rolled back (profiling only; the count
-        #: never feeds the schedule).
-        self.rollbacks = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -324,7 +319,6 @@ class _VectorTenant:
             self.committed, self.slots, self.truncated = snapshot
             self._scan(ok, latency_ms)
             self.window = max(MIN_SPECULATION, self.window // 2)
-            self.rollbacks += 1
             if not static:
                 self.next_signature = tuple(rows[ok].tolist())
         elif not static:
@@ -483,7 +477,6 @@ class ArrayServingEngine:
 
     def __init__(self, evaluator) -> None:
         self.evaluator = evaluator
-        self.profiler = NULL_PROFILER
 
     def run(
         self,
@@ -501,8 +494,6 @@ class ArrayServingEngine:
         simulator; its trace is empty when the fleet does not churn) bounds
         the speculation windows at the fleet's membership events.
         """
-        prof = self.profiler
-        run_start = perf_counter() if prof.enabled else 0.0
         network = self.evaluator.network
         static_sig = network_state_signature(network, start_s) if network.is_static else None
         vectors: List[Optional[_VectorTenant]] = [
@@ -515,15 +506,6 @@ class ArrayServingEngine:
         ]
         epochs, cache_hits, speculated = self._epochs(vectors, static_sig, fault_ctx, tracer)
         reports = [None if v is None else v.report() for v in vectors]
-        if prof.enabled:
-            prof.add("engine.run", perf_counter() - run_start)
-            prof.count("engine.epochs", epochs)
-            prof.count("engine.cache_hits", cache_hits)
-            prof.count("engine.speculated", speculated)
-            prof.count(
-                "engine.rollbacks",
-                sum(v.rollbacks for v in vectors if v is not None),
-            )
         return reports, epochs, cache_hits, speculated
 
     def _epochs(

@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, record_serving_report
-from repro.obs.profile import NULL_PROFILER
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.contention import (
     ContendedOutcome,
@@ -78,7 +77,7 @@ from repro.runtime.faults import (
     emit_resolution,
     resolve_faulted_request,
 )
-from repro.serving.dispatch import ClusterPolicy, FleetDispatcher
+from repro.serving.dispatch import SCHEDULE_MEMO_SIZE, ClusterPolicy, FleetDispatcher
 from repro.serving.engine import ArrayServingEngine, vectorizable
 from repro.serving.tenants import Dispatch, TenantReport, TenantRuntime, TenantSpec
 from repro.utils.cache import LRUCache
@@ -322,9 +321,6 @@ class ServingSimulator:
 
     def __init__(self, evaluator: PlanEvaluator) -> None:
         self.evaluator = evaluator
-        #: Wall-clock profiler (see :mod:`repro.obs.profile`); attach a live
-        #: one for ``--profile``.  Never touches simulated values.
-        self.profiler = NULL_PROFILER
 
     # ------------------------------------------------------------------ #
     def _check(
@@ -460,7 +456,6 @@ class ServingSimulator:
             cache_hits = speculated = 0
             if engine_run:
                 engine = ArrayServingEngine(self.evaluator)
-                engine.profiler = self.profiler
                 columns, engine_epochs, cache_hits, speculated = engine.run(
                     tenants, duration_s, start_s, fault_ctx, tracer
                 )
@@ -593,10 +588,9 @@ class ServingSimulator:
             fleet=fleet,
             max_inflight=policy.max_inflight,
             memoize=(mode == "batched"),
-            cache_size=policy.memo_size,
+            cache_size=SCHEDULE_MEMO_SIZE,
             memo=schedule_memo,
         )
-        engine.profiler = self.profiler
         # Trace emission context: both modes commit identical outcomes at
         # these very sites, so live lane/dispatch events stay under parity.
         lane_keys = engine.fleet.lane_keys

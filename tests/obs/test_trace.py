@@ -126,15 +126,6 @@ class TestDeferredDerivation:
         assert tracer._events == []  # nothing materialised yet
         assert len(tracer.events) == 9  # 2 requests x 4 events + 1 reject
 
-    def test_deferred_matches_eager(self):
-        from repro.obs import trace_serving_report
-
-        report = self._report()
-        lazy, eager = Tracer(), Tracer()
-        lazy.defer_report(report)
-        trace_serving_report(eager, report)
-        assert lazy.lines() == eager.lines()
-
     def test_live_events_and_deferral_mix_canonically(self):
         report = self._report()
         a = Tracer()

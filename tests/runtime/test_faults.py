@@ -13,6 +13,7 @@ import pytest
 
 from repro.devices.specs import make_cluster
 from repro.nn import model_zoo
+from repro.runtime import faults
 from repro.runtime.faults import (
     ChurnSpec,
     DegradationPolicy,
@@ -246,6 +247,25 @@ class TestReplanAndResolve:
         assert degrader.effective_plan(plan, (0, 1, 2)) is plan
         assert degrader.devices(a) == plan_devices(a)
         assert degrader.devices(a) is degrader.devices(a)
+
+    def test_degrader_walks_no_plan_on_a_full_roster(self, world, monkeypatch):
+        model, devices = world
+        walked = []
+
+        def counting(plan):
+            walked.append(plan)
+            return plan_devices(plan)
+
+        monkeypatch.setattr(faults, "plan_devices", counting)
+        degrader = PlanDegrader()
+        plan = DistributionPlan.single_device(model, devices, 0)
+        assert degrader.effective_plan(plan, (0, 1, 2)) is plan
+        assert walked == []
+        # With a device down, the crash test's cached device set decides.
+        kept = DistributionPlan.single_device(model, devices, 1)
+        assert degrader.effective_plan(kept, (1, 2)) is kept
+        degrader.devices(kept)
+        assert walked == [kept]
 
     def test_resolver_completes_first_attempt_with_raw_oracle_float(self, world):
         model, devices = world

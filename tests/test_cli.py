@@ -556,7 +556,8 @@ class TestServeObservability:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "plan.search" in out and "plan.evaluate" in out
+        assert "CoEdgePlanner.plan" in out and "PlanEvaluator.evaluate" in out
+        assert "total" in out and "not in any layer" in out
 
     def test_plan_profile_splits_distredge_stages(self, capsys):
         code = main([
@@ -567,8 +568,47 @@ class TestServeObservability:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "plan.lcpss" in out and "plan.osds" in out and "plan.evaluate" in out
-        assert "plan.search" not in out
+        assert "DistrEdge.partition" in out and "DistrEdge.split" in out
+        assert "PlanEvaluator.evaluate" in out
+        assert "CoEdgePlanner.plan" not in out
+
+    def test_compare_profile_prints_layers_and_total(self, capsys):
+        code = main([
+            "compare", "--scenario", "DB", "--model", "tiny_cnn",
+            "--episodes", "2", "--random-splits", "3", "--profile",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ExperimentHarness.compare" in out and "DistrEdge.split" in out
+        assert "total" in out
+
+    # CI's deny-path contended parity smoke, shortened.
+    DENY_PATH = [
+        "serve", "--scenario", "gen:n=8,seed=3,trace=dynamic", "--model", "small_vgg",
+        "--tenant", "coedge", "--tenant", "modnn", "--tenant", "offload",
+        "--duration", "5", "--rate", "8",
+        "--contention", "--discipline", "wfq", "--admission", "predictive",
+        "--on-predicted-miss", "reject", "--deadline-ms", "15",
+        "--churn", "churn:crashes=1,window_ms=5000", "--mode", "parity",
+    ]
+
+    def test_profiling_changes_nothing_it_measures(self, tmp_path, capsys):
+        outputs = []
+        for flags in ([], ["--profile"]):
+            report, trace = tmp_path / "report.json", tmp_path / "trace.json"
+            code = main(self.DENY_PATH + flags + [
+                "--report-json", str(report), "--trace-json", str(trace),
+            ])
+            assert code == 0
+            payload = json.loads(report.read_text())
+            payload["provenance"].pop("argv")
+            events = json.loads(trace.read_text())["traceEvents"]
+            outputs.append((payload, events, capsys.readouterr().out))
+        (plain, plain_events, _), (profiled, profiled_events, out) = outputs
+        assert plain == profiled
+        assert plain_events == profiled_events
+        assert "ContentionAwareEvaluator.predict" in out
+        assert "contention.walks" in out and "contention.idle_denials" in out
 
 
 class TestAnalyze:
